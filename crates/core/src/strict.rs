@@ -7,12 +7,61 @@
 //! max_i |w(χ⁻¹(i)) − ‖w‖₁/k| ≤ (1 − 1/k)·‖w‖∞
 //! ```
 //!
-//! Overweight classes shed pieces of weight `∈ [‖w‖∞/2, ‖w‖∞]` (a single
-//! heavy vertex, or a splitting set over the light vertices — Claim 4 of
-//! the appendix); pieces refill classes below the lower envelope and the
-//! remainder goes to the lightest classes. The averaging invariants make
-//! the loop provably safe: while some class sits below
-//! `w* − (1−1/k)‖w‖∞`, uncolored pieces must exist.
+//! With `w* = ‖w‖₁/k`, the procedure has three steps:
+//!
+//! 2. every class above `w*` sheds pieces into a buffer until it is at
+//!    most `w*` (see *Carving* below);
+//! 3. classes below the lower envelope `w* − (1−1/k)‖w‖∞` are refilled
+//!    from the buffer;
+//! 4. the remaining pieces go, one at a time, to the currently lightest
+//!    class.
+//!
+//! Class loads are kept incrementally through all three steps, and the
+//! output is written directly: a vertex keeps its input color unless a
+//! piece containing it is placed elsewhere. The whole procedure costs
+//! `O(n)` plus the splitter calls on the carved sets listed below.
+//!
+//! **Carving (Claim 4, restated for the pieces used here).** An
+//! overweight class sheds, in this order:
+//!
+//! 1. *Heavy singletons.* Its vertices with `w(v) ≥ ‖w‖∞/2`, in
+//!    increasing id order, while the class load stays above `w*`: one
+//!    pass over the class. Each weighs `∈ [‖w‖∞/2, ‖w‖∞]`.
+//! 2. *Bulk carve.* If the remaining (light) excess `e = load − w*` is
+//!    above `2‖w‖∞`, one splitter call carves `X` with target
+//!    `e − ‖w‖∞`. Every vertex left is lighter than `‖w‖∞/2`, so the
+//!    splitting contract puts `w(X)` within `‖w‖∞/4` of the target and
+//!    the class keeps an excess in `(3/4, 5/4)·‖w‖∞`. `X` alone is then
+//!    chopped by recursive splitting: a part heavier than `‖w‖∞` is split
+//!    at the share `⌊m/2⌋/m` of its weight, `m = max(2, round(w/(¾‖w‖∞)))`,
+//!    so each side aims at `≥ ‖w‖∞/2` and lands at `≥ ‖w‖∞/4`; a part of
+//!    weight `≤ ‖w‖∞` is a piece. Pieces weigh `∈ [‖w‖∞/4, ‖w‖∞]`, every
+//!    level of the recursion queries disjoint subsets of `X`, and there
+//!    are `O(log(w(X)/‖w‖∞))` levels: `O(|X|·log(w(X)/‖w‖∞))` splitter
+//!    work instead of one call on the whole class remainder per piece.
+//! 3. *Tail.* The last `≤ 2‖w‖∞` of excess goes one piece at a time, each
+//!    a splitting set of target `¾‖w‖∞` on the class remainder, so of
+//!    weight `∈ [‖w‖∞/2, ‖w‖∞]`: a constant number of calls per class.
+//!
+//! An almost strictly balanced input (Proposition 11) has every excess
+//! `≤ 2‖w‖∞`, so the bulk branch never fires on the theorem path and the
+//! pieces are exactly Claim 4's.
+//!
+//! **Eq. (1) needs only pieces `≤ ‖w‖∞`.** After Step 2 every class is at
+//! most `w*`. In Step 3 a class receives a piece only while below the
+//! lower envelope, so it ends at most `w* − (1−1/k)‖w‖∞ + ‖w‖∞ =
+//! w* + ‖w‖∞/k`. In Step 4 the piece `x` goes to the lightest class, which
+//! weighs at most `(‖w‖₁ − w(x))/k` (all weight but `x`'s is in the
+//! classes or the buffer), so it ends at most `w* + (1−1/k)·w(x)`. The
+//! averaging invariant makes Step 3 safe: if the buffer ran dry while
+//! class `j` sat below the lower envelope, the other `k−1` classes would
+//! hold at most `(k−1)(w* + ‖w‖∞/k)`, forcing `w(j) ≥ w* − (1−1/k)‖w‖∞`.
+//! None of this uses a lower bound on the piece weights.
+//!
+//! **The piece floor matters for the cost only.** Proposition 12 bounds
+//! the boundary growth through the number of pieces a class sheds and
+//! receives. Pieces of weight `≥ ‖w‖∞/4` instead of `≥ ‖w‖∞/2` at most
+//! double those counts, so the cost bound changes by a constant factor.
 //!
 //! **Degenerate regime.** The paper assumes `w* ≥ ‖w‖∞/2` and notes the
 //! other case is "handled similarly". When `w* < ‖w‖∞/2` (more colors than
@@ -22,7 +71,7 @@
 //! boundary cost, which is acceptable because in this regime classes are
 //! dominated by single vertices anyway.
 
-use mmb_graph::measure::{norm_1, set_max, set_sum};
+use mmb_graph::measure::{set_max, set_sum};
 use mmb_graph::{Coloring, Graph, VertexId, VertexSet};
 use mmb_splitters::Splitter;
 use rayon::prelude::*;
@@ -35,19 +84,21 @@ pub(crate) const PAR_CARVE_MIN_VERTICES: usize = 2048;
 /// Shared fan-out of the `BinPack1/2` cut-down step: run `shed` over every
 /// carving work item — on the thread pool when the working set is large
 /// enough to amortize worker spawn, inline otherwise — and re-assemble the
-/// surviving classes and carved pieces in class order, which makes the
+/// per-class results and carved pieces in class order, which makes the
 /// result bit-identical to the sequential loop for any thread count.
 /// Parallel workers re-establish the caller's thread-local scratch mode.
-pub(crate) fn carve_classes<T, F>(
+pub(crate) fn carve_classes<T, C, P, F>(
     items: impl IntoIterator<Item = T>,
     working_set_len: usize,
     shed: F,
-) -> (Vec<VertexSet>, Vec<VertexSet>)
+) -> (Vec<C>, Vec<P>)
 where
     T: Send,
-    F: Fn(T) -> (VertexSet, Vec<VertexSet>) + Sync,
+    C: Send,
+    P: Send,
+    F: Fn(T) -> (C, Vec<P>) + Sync,
 {
-    let carved: Vec<(VertexSet, Vec<VertexSet>)> = if working_set_len >= PAR_CARVE_MIN_VERTICES {
+    let carved: Vec<(C, Vec<P>)> = if working_set_len >= PAR_CARVE_MIN_VERTICES {
         let mode = mmb_graph::workspace::scratch_mode();
         items
             .into_par_iter()
@@ -92,6 +143,9 @@ pub fn greedy_strict(n: usize, k: usize, domain: &VertexSet, weights: &[f64]) ->
     out
 }
 
+/// A carved piece: its members and its weight.
+type Piece = (Vec<VertexId>, f64);
+
 /// `BinPack2` (Proposition 12): enforce strict balance exactly.
 ///
 /// `chi` must be total on `domain`. The output satisfies eq. (1) up to
@@ -120,31 +174,28 @@ pub fn binpack2<S: Splitter + ?Sized>(
         return greedy_strict(n, k, domain, weights);
     }
 
-    let cw = |c: &VertexSet| set_sum(weights, c);
-
     // Step 2: cut every class down to ≤ w*. Classes are carved
     // independently (the buffer only collects), so [`carve_classes`] fans
     // the cut-down out per class.
-    let (mut classes, mut buffer) = carve_classes(
+    let cap = w_star + 1e-12 * total;
+    let (mut loads, mut buffer) = carve_classes(
         chi.class_sets_within(domain),
         domain.len(),
-        |mut class: VertexSet| {
-            let mut pieces = Vec::new();
-            while cw(&class) > w_star + 1e-12 * total && !class.is_empty() {
-                let x = carve_piece(g, splitter, &class, weights, wmax);
-                debug_assert!(!x.is_empty());
-                class.difference_with(&x);
-                pieces.push(x);
-            }
-            (class, pieces)
-        },
+        |class: VertexSet| shed_class(splitter, class, weights, wmax, w_star, cap),
     );
+    let mut out = chi.restrict_to(domain);
+    let mut place = |loads: &mut [f64], i: usize, (members, w): Piece| {
+        for v in members {
+            out.set(v, i as u32);
+        }
+        loads[i] += w;
+    };
 
     // Step 3: refill classes below the strict lower envelope. The
     // averaging argument (see module docs) guarantees the buffer cannot be
     // empty while such a class exists.
-    let lower = w_star - (1.0 - 1.0 / k as f64) * wmax;
-    while let Some(i) = (0..k).find(|&i| cw(&classes[i]) < lower - 1e-12 * (1.0 + total)) {
+    let lower = w_star - (1.0 - 1.0 / k as f64) * wmax - 1e-12 * (1.0 + total);
+    while let Some(i) = (0..k).find(|&i| loads[i] < lower) {
         let Some(x) = buffer.pop() else {
             debug_assert!(
                 false,
@@ -152,61 +203,135 @@ pub fn binpack2<S: Splitter + ?Sized>(
             );
             break;
         };
-        classes[i].union_with(&x);
+        place(&mut loads, i, x);
     }
 
     // Step 4: leftovers onto the lightest classes.
     while let Some(x) = buffer.pop() {
         let i = (0..k)
-            .min_by(|&a, &b| cw(&classes[a]).total_cmp(&cw(&classes[b])))
+            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
             .expect("k >= 1 classes");
-        classes[i].union_with(&x);
-    }
-
-    let mut out = Coloring::new_uncolored(n, k);
-    for (i, class) in classes.iter().enumerate() {
-        for v in class.iter() {
-            out.set(v, i as u32);
-        }
+        place(&mut loads, i, x);
     }
     out
 }
 
-/// Claim 4: a piece `X ⊆ class` with `w(X) ∈ [‖w‖∞/2, ‖w‖∞]` — a single
-/// heavy vertex if one exists, else a splitting set (all vertices are then
-/// lighter than `‖w‖∞/2`, so the contract slack stays within the window).
-fn carve_piece<S: Splitter + ?Sized>(
-    g: &Graph,
+/// Step 2 for one class: shed pieces (see *Carving* in the module docs)
+/// until its load is at most `cap`. Returns the remaining load and the
+/// pieces in shedding order.
+fn shed_class<S: Splitter + ?Sized>(
     splitter: &S,
-    class: &VertexSet,
+    mut class: VertexSet,
     weights: &[f64],
     wmax: f64,
-) -> VertexSet {
-    let n = g.num_vertices();
-    if let Some(v) = class.iter().find(|&v| weights[v as usize] >= wmax / 2.0) {
-        return VertexSet::from_iter(n, [v]);
+    w_star: f64,
+    cap: f64,
+) -> (f64, Vec<Piece>) {
+    let mut load = set_sum(weights, &class);
+    let mut pieces = Vec::new();
+    if load <= cap {
+        return (load, pieces);
     }
-    let class_weight = set_sum(weights, class);
-    let target = (0.75 * wmax).min(class_weight);
-    let x = splitter.split(class, weights, target);
-    if x.is_empty() || set_sum(weights, &x) <= 0.0 {
+    let heavy: Vec<VertexId> = class
+        .iter()
+        .filter(|&v| weights[v as usize] >= wmax / 2.0)
+        .collect();
+    for v in heavy {
+        if load <= cap {
+            return (load, pieces);
+        }
+        class.remove(v);
+        load -= weights[v as usize];
+        pieces.push((vec![v], weights[v as usize]));
+    }
+    let excess = load - w_star;
+    if excess > 2.0 * wmax {
+        let x = splitter.split(&class, weights, excess - wmax);
+        let wx = set_sum(weights, &x);
+        // A contract-abiding splitter leaves an excess of at least ¾‖w‖∞;
+        // anything else falls through to the piecewise tail.
+        if wx > 0.0 && wx <= excess {
+            class.difference_with(&x);
+            load -= wx;
+            chop(splitter, x, wx, weights, wmax, &mut pieces);
+        }
+    }
+    while load > cap && !class.is_empty() {
+        let (members, w) = carve_light_piece(splitter, &class, load, weights, wmax);
+        for &v in &members {
+            class.remove(v);
+        }
+        load -= w;
+        pieces.push((members, w));
+    }
+    (load, pieces)
+}
+
+/// Chop a carved set of light vertices (each `< ‖w‖∞/2`) into pieces of
+/// weight `≤ ‖w‖∞` by recursive proportional splitting (module docs,
+/// *Carving*), appending them to `out` in depth-first order.
+fn chop<S: Splitter + ?Sized>(
+    splitter: &S,
+    x: VertexSet,
+    wx: f64,
+    weights: &[f64],
+    wmax: f64,
+    out: &mut Vec<Piece>,
+) {
+    if wx <= wmax {
+        out.push((x.to_vec(), wx));
+        return;
+    }
+    let m = ((wx / (0.75 * wmax)).round() as usize).max(2);
+    let left = splitter.split(&x, weights, wx * (m / 2) as f64 / m as f64);
+    let wl = set_sum(weights, &left);
+    if wl <= 0.0 || wl >= wx {
+        // Defensive: a splitter that broke its contract. Chop greedily in
+        // id order instead; every vertex is light, so each piece but the
+        // last weighs more than ‖w‖∞/2.
+        let mut piece = (Vec::new(), 0.0);
+        for v in x.iter() {
+            let w = weights[v as usize];
+            if piece.1 + w > wmax {
+                out.push(std::mem::take(&mut piece));
+            }
+            piece.0.push(v);
+            piece.1 += w;
+        }
+        if !piece.0.is_empty() {
+            out.push(piece);
+        }
+        return;
+    }
+    let right = x.difference(&left);
+    drop(x);
+    let wr = set_sum(weights, &right);
+    chop(splitter, left, wl, weights, wmax, out);
+    chop(splitter, right, wr, weights, wmax, out);
+}
+
+/// A tail piece: a splitting set of target `¾‖w‖∞` on the class remainder,
+/// whose vertices are all lighter than `‖w‖∞/2`, so the contract slack
+/// keeps the piece within `[‖w‖∞/2, ‖w‖∞]`.
+fn carve_light_piece<S: Splitter + ?Sized>(
+    splitter: &S,
+    class: &VertexSet,
+    load: f64,
+    weights: &[f64],
+    wmax: f64,
+) -> Piece {
+    let x = splitter.split(class, weights, (0.75 * wmax).min(load));
+    let wx = set_sum(weights, &x);
+    if x.is_empty() || wx <= 0.0 {
         // Defensive: all-zero piece; peel the heaviest vertex to guarantee
         // progress.
         let heaviest = class
             .iter()
             .max_by(|&a, &b| weights[a as usize].total_cmp(&weights[b as usize]))
             .expect("class is non-empty");
-        return VertexSet::from_iter(n, [heaviest]);
+        return (vec![heaviest], weights[heaviest as usize]);
     }
-    x
-}
-
-/// Convenience: strict-balance defect of a coloring over `weights`
-/// (cf. [`mmb_graph::Coloring::strict_balance_defect`], exposed here for
-/// pipeline assertions).
-pub fn strict_defect(chi: &Coloring, weights: &[f64]) -> f64 {
-    let _ = norm_1(weights);
-    chi.strict_balance_defect(weights)
+    (x.to_vec(), wx)
 }
 
 #[cfg(test)]
@@ -214,6 +339,7 @@ mod tests {
     use super::*;
     use mmb_graph::gen::grid::GridGraph;
     use mmb_splitters::grid::GridSplitter;
+    use mmb_splitters::recording::RecordingSplitter;
 
     #[test]
     fn greedy_is_always_strict() {
@@ -361,5 +487,90 @@ mod tests {
                 out.strict_balance_defect(&weights)
             );
         }
+    }
+
+    /// Queried-subset vertices of one BinPack2 run on a monochromatic
+    /// `side × side` lattice, k = 8, unit-ish weights with a spike of 25
+    /// on every 97th vertex.
+    fn monochromatic_spike_work(side: usize) -> u64 {
+        let grid = GridGraph::lattice(&[side, side]);
+        let n = side * side;
+        let costs = vec![1.0; grid.graph.num_edges()];
+        let rec = RecordingSplitter::new(GridSplitter::new(&grid, &costs), &grid.graph, &costs);
+        let weights: Vec<f64> = (0..n)
+            .map(|v| {
+                if v % 97 == 0 {
+                    25.0
+                } else {
+                    1.0 + (v % 5) as f64 / 10.0
+                }
+            })
+            .collect();
+        let chi = Coloring::monochromatic(n, 8);
+        let out = binpack2(&grid.graph, &rec, &chi, &VertexSet::full(n), &weights);
+        assert!(out.is_total(), "side {side}");
+        assert!(
+            out.is_strictly_balanced(&weights),
+            "side {side}: defect {}",
+            out.strict_balance_defect(&weights)
+        );
+        rec.stats().total_subset_size
+    }
+
+    #[test]
+    fn carve_work_grows_near_linearly() {
+        // n grows 4×; the bulk carve plus recursive chop must keep the
+        // splitter work within a log factor of that (re-splitting the
+        // class remainder once per piece grew it ~16×).
+        let small = monochromatic_spike_work(128);
+        let large = monochromatic_spike_work(256);
+        assert!(
+            large as f64 <= 6.0 * small as f64,
+            "queried-subset vertices grew {small} → {large}"
+        );
+    }
+
+    /// Delegates on sets of at least `min_len` vertices and returns the
+    /// empty set (breaking the splitting contract) on smaller ones.
+    struct EmptyBelow<S> {
+        inner: S,
+        min_len: usize,
+    }
+
+    impl<S: Splitter> Splitter for EmptyBelow<S> {
+        fn split(&self, w_set: &VertexSet, weights: &[f64], target: f64) -> VertexSet {
+            if w_set.len() >= self.min_len {
+                self.inner.split(w_set, weights, target)
+            } else {
+                VertexSet::empty(w_set.universe())
+            }
+        }
+    }
+
+    #[test]
+    fn contract_breaking_splits_fall_back_and_stay_strict() {
+        // The bulk carve succeeds (the class is large), but every split
+        // of the carved set and of the class remainder comes back empty:
+        // the chop falls back to id-order pieces and the tail to peeling
+        // the heaviest vertex.
+        let grid = GridGraph::lattice(&[24, 24]);
+        let n = 576;
+        let costs = vec![1.0; grid.graph.num_edges()];
+        // One spike makes every other vertex light; once it is shed, the
+        // class remainder has n − 1 vertices.
+        let mut weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 4) as f64 / 4.0).collect();
+        weights[0] = 8.0;
+        let sp = EmptyBelow {
+            inner: GridSplitter::new(&grid, &costs),
+            min_len: n - 1,
+        };
+        let chi = Coloring::monochromatic(n, 4);
+        let out = binpack2(&grid.graph, &sp, &chi, &VertexSet::full(n), &weights);
+        assert!(out.is_total());
+        assert!(
+            out.is_strictly_balanced(&weights),
+            "defect {}",
+            out.strict_balance_defect(&weights)
+        );
     }
 }
