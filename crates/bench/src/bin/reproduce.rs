@@ -22,10 +22,6 @@
 //!                                          #   tag: mmb-bench-6 or -7)
 //! reproduce gap-gate PATH                  # CI guard: fresh certified gaps
 //!                                          #   must not regress vs PATH
-//! reproduce lint [--json]                  # mmb-analyze soundness scan;
-//!                                          #   exits 1 on any unpragma'd
-//!                                          #   finding (NaN comparators,
-//!                                          #   hash-order leaks, …)
 //! reproduce chaos [--quick]                # seeded fault schedules ×
 //!                                          #   corpus through the
 //!                                          #   resilient harness; exits 1
@@ -209,30 +205,6 @@ fn main() {
                 out.faults_injected,
                 out.degraded_cells
             );
-        }
-        Some(&"lint") => {
-            let json = args.iter().any(|a| a == "--json");
-            let root = mmb_analyze::workspace_root();
-            let report = match mmb_analyze::scan_workspace(&root) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("lint: cannot scan workspace at {}: {e}", root.display());
-                    std::process::exit(2);
-                }
-            };
-            if json {
-                print!("{}", report.to_json());
-            } else {
-                print!("{}", report.render_table());
-            }
-            if !report.is_clean() {
-                eprintln!(
-                    "lint FAILED: {} finding(s) — fix them or add an audited \
-                     `// lint: allow(<rule>) — <reason>` pragma",
-                    report.findings.len()
-                );
-                std::process::exit(1);
-            }
         }
         _ => {
             let ids: Vec<&str> = if words.is_empty() || words.contains(&"all") {

@@ -14,6 +14,13 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::float_cmp,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::unreachable,
+    reason = "measurement harness"
+)]
 
 pub mod chaos;
 pub mod churn;
@@ -104,6 +111,10 @@ pub fn run_scored(
 }
 
 /// Run `f`, returning its result and the elapsed milliseconds.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "measurement harness: timing is the point"
+)]
 pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = std::time::Instant::now();
     let out = f();

@@ -265,6 +265,10 @@ fn best_of<R>(repeats: usize, mut f: impl FnMut() -> R) -> (R, f64) {
     let mut best = f64::INFINITY;
     let mut out = None;
     for _ in 0..repeats.max(1) {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "measurement harness: timing is the point"
+        )]
         let t = Instant::now();
         let r = f();
         let elapsed = t.elapsed().as_secs_f64() * 1e3;
@@ -364,6 +368,10 @@ pub fn run(quick: bool) -> PerfReport {
             let doc = write_metis(&grid.graph, &weights, &costs);
             drop((grid, weights, costs));
             Workspace::with_local(|ws| ws.reset_stats());
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "measurement harness: timing is the point"
+            )]
             let t = Instant::now();
             let mg = parse_metis(&doc).expect("self-written METIS parses");
             let ingest_ms = t.elapsed().as_secs_f64() * 1e3;
@@ -373,6 +381,10 @@ pub fn run(quick: bool) -> PerfReport {
                 coarsen: Some(CoarsenConfig::default()),
                 ..PipelineConfig::default()
             };
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "measurement harness: timing is the point"
+            )]
             let t = Instant::now();
             let solver = Solver::for_instance(&inst)
                 .classes(large_k)

@@ -23,7 +23,10 @@ macro_rules! impl_error_display {
     ($ty:ident { $($pat:pat => $msg:literal),+ $(,)? }) => {
         impl std::fmt::Display for $ty {
             fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-                #[allow(unused_variables)]
+                #[allow(
+                    unused_variables,
+                    reason = "a pattern may bind fields its message does not print"
+                )]
                 match self {
                     $($pat => write!(f, $msg)),+
                 }

@@ -92,7 +92,10 @@ pub struct Report {
 }
 
 impl Report {
-    #[allow(clippy::too_many_arguments)] // internal assembly of the full report row
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "internal assembly of the full report row"
+    )]
     pub(crate) fn assemble(
         g: &mmb_graph::Graph,
         costs: &[f64],

@@ -315,8 +315,10 @@ impl<'i> Solver<'i> {
         let domain = inst.domain();
         let user = inst.balance_measures();
 
-        // lint: allow(nondeterminism) — the four stage timestamps feed only
-        // the report's observational `timings` field, never the coloring.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the four stage timestamps feed only the report's observational `timings` field, never the coloring"
+        )]
         let t0 = std::time::Instant::now();
         crate::failpoint::raise_any("pipeline::multibalance");
         let stage1 = multibalance_minmax_with_pi_ws(
@@ -329,7 +331,10 @@ impl<'i> Solver<'i> {
             &self.pi,
             ws,
         );
-        // lint: allow(nondeterminism) — observational timing only, as above.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observational timing only, as above"
+        )]
         let t1 = std::time::Instant::now();
         crate::failpoint::raise_any("pipeline::shrink");
         let stage2 = if self.cfg.skip_shrink {
@@ -347,11 +352,17 @@ impl<'i> Solver<'i> {
                 ws,
             )
         };
-        // lint: allow(nondeterminism) — observational timing only, as above.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observational timing only, as above"
+        )]
         let t2 = std::time::Instant::now();
         crate::failpoint::raise_any("pipeline::binpack");
         let stage3 = binpack2(g, &self.splitter, &stage2, domain, weights);
-        // lint: allow(nondeterminism) — observational timing only, as above.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observational timing only, as above"
+        )]
         let t3 = std::time::Instant::now();
         debug_assert!(stage3.is_total(), "pipeline must color every vertex");
 
@@ -394,8 +405,10 @@ impl<'i> Solver<'i> {
         let inst = self.inst;
         let (g, costs, weights) = (inst.graph(), inst.costs(), inst.weights());
 
-        // lint: allow(nondeterminism) — timestamps feed only the report's
-        // observational `timings` field, never the coloring.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "timestamps feed only the report's observational `timings` field, never the coloring"
+        )]
         let t0 = std::time::Instant::now();
         let front = crate::coarsen::CoarseningFront::build(g, costs, weights, &cc.params);
         if front.num_levels() == 0 {
@@ -418,7 +431,10 @@ impl<'i> Solver<'i> {
             .build()
             .expect("k and p were validated at the host build");
         let coarse = coarse_solver.solve_in(ws);
-        // lint: allow(nondeterminism) — observational timing only, as above.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observational timing only, as above"
+        )]
         let t1 = std::time::Instant::now();
 
         // Intermediate stages project plainly (they are ablation data);
@@ -441,7 +457,10 @@ impl<'i> Solver<'i> {
             })
             .expect("level triples are valid by construction");
         let stage3 = binpack2(g, &self.splitter, &projected, inst.domain(), weights);
-        // lint: allow(nondeterminism) — observational timing only, as above.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "observational timing only, as above"
+        )]
         let t2 = std::time::Instant::now();
         debug_assert!(stage3.is_total(), "cascade must color every vertex");
 
@@ -731,18 +750,16 @@ impl std::fmt::Debug for Solver<'_> {
 /// Solve one instance with per-item isolation: build, solve, and convert
 /// any panic into a typed [`SolveError::Panicked`] — the shared guts of
 /// the batch entry points. One bad request must not poison its batch.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the batch isolation boundary: a panic in one instance's solve becomes that item's typed error instead of unwinding through the rayon worker and poisoning the whole batch. Per-item state is rebuilt from scratch each call and the pooled workspace rolls its epochs back via Drop, so the closure's captures are sound to reuse after an unwind"
+)]
 fn solve_one_isolated(
     inst: &Instance,
     k: usize,
     cfg: &PipelineConfig,
 ) -> Result<Report, SolveError> {
     crate::failpoint::raise("batch::item")?;
-    // lint: allow(catch-unwind) — the batch isolation boundary: a panic in
-    // one instance's solve becomes that item's typed error instead of
-    // unwinding through the rayon worker and poisoning the whole batch.
-    // Per-item state is rebuilt from scratch each call and the pooled
-    // workspace rolls its epochs back via Drop, so the closure's captures
-    // are sound to reuse after an unwind.
     std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         Solver::for_instance(inst)
             .classes(k)

@@ -38,8 +38,6 @@
 
 pub mod bounds;
 
-// lint: allow(nondeterminism) — import only; both call sites carry their
-// own audited pragmas (deadline checks affect truncation, not the answer).
 use std::time::{Duration, Instant};
 
 use mmb_graph::{Coloring, VertexId};
@@ -285,16 +283,17 @@ pub(crate) fn solve_seeded(
     // visiting a single node.
     if best.is_none() || best_cost > root_lower {
         let budget = cfg.node_budget.unwrap_or(u64::MAX);
-        // lint: allow(nondeterminism) — wall-clock deadline is an explicit,
-        // caller-opted time budget; expiry sets `truncated` (reported as
-        // such) and never changes an exactness claim.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock deadline is an explicit, caller-opted time budget; expiry sets `truncated` (reported as such) and never changes an exactness claim"
+        )]
         let deadline = cfg.time_budget.and_then(|d| Instant::now().checked_add(d));
         let stride = cfg.deadline_poll_stride.max(1);
+        #[expect(clippy::disallowed_methods, reason = "deadline check, see above")]
         let mut stop = |visited: u64| {
             crate::failpoint::raise_any("bnb::node");
             visited >= budget
                 || interrupt(visited)
-                // lint: allow(nondeterminism) — deadline check, see above.
                 // Node 0 always satisfies the stride test, so the very
                 // first node is polled and a pre-expired deadline stops
                 // the search before any expansion.

@@ -26,7 +26,10 @@ use crate::strict::carve_classes;
 ///   there is no `W₁`, e.g. in Proposition 11's base case).
 /// * `wmax` is the `‖w‖_∞` of the *enclosing* vertex set `W = W₀ ∪ W₁`
 ///   (passed in because `W₁`'s vertices are not visible here).
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's procedure parameters plus the enclosing set's ‖w‖_∞"
+)]
 pub fn binpack1<S: Splitter + ?Sized>(
     g: &Graph,
     _costs: &[f64],

@@ -281,6 +281,10 @@ pub fn raise(site: &'static str) -> Result<(), SolveError> {
 }
 
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "an armed `Panic` or `Transient` failpoint unwinds by design; only an explicit `FaultSchedule` arms one"
+)]
 fn raise_slow(site: &'static str) -> Result<(), SolveError> {
     match check(site) {
         None => Ok(()),
@@ -309,6 +313,10 @@ pub fn raise_any(site: &'static str) {
 }
 
 #[cold]
+#[expect(
+    clippy::panic,
+    reason = "an armed `Panic` or `Transient` failpoint unwinds by design; only an explicit `FaultSchedule` arms one"
+)]
 fn raise_any_slow(site: &'static str) {
     match check(site) {
         None => {}
@@ -515,6 +523,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "catching the injected unwind is what this test inspects"
+    )]
     fn injected_panics_carry_a_downcastable_payload() {
         let schedule = FaultSchedule::new().once("pipeline::multibalance", 0, FaultAction::Panic);
         let (caught, _) = with_faults(&schedule, || {
@@ -527,6 +539,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "catching the injected unwind is what this test inspects"
+    )]
     fn transient_at_infallible_site_unwinds_marked_retryable() {
         let schedule = FaultSchedule::new().once("splitter::split", 0, FaultAction::Transient);
         let (caught, _) = with_faults(&schedule, || {
@@ -564,6 +580,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "catching the injected unwind is what this test inspects"
+    )]
     fn guard_disarms_even_when_the_closure_unwinds() {
         let schedule = FaultSchedule::new().always("batch::item", FaultAction::Panic);
         let attempt = std::panic::catch_unwind(|| {

@@ -86,6 +86,10 @@ fn full_box_extents(gg: &GridGraph) -> Option<Vec<usize>> {
     if extents.iter().product::<usize>() != n {
         return None;
     }
+    #[expect(
+        clippy::disallowed_types,
+        reason = "duplicate detection by membership only; the set is never iterated"
+    )]
     let mut seen = std::collections::HashSet::with_capacity(n);
     for v in 0..n as u32 {
         if !seen.insert(gg.coord(v).to_vec()) {
@@ -216,6 +220,10 @@ impl LowerBound for StructureBound {
 
 /// Replay a [`Derivation::Structure`]: re-run the structural analysis
 /// and cross-check every stored intermediate.
+#[expect(
+    clippy::float_cmp,
+    reason = "a certificate replays bit for bit: the stored intermediates are recomputed by the same deterministic code, so any difference, even one ulp, means the witness was tampered with or the instance changed"
+)]
 pub(crate) fn replay_structure(
     inst: &Instance,
     k: usize,
@@ -387,5 +395,40 @@ mod tests {
             let replayed = cert.derivation.replay(&inst, k).unwrap();
             assert_eq!(replayed, cert.value);
         }
+    }
+
+    #[test]
+    fn witness_tampering_is_caught() {
+        let inst = unit(hypercube(3));
+        let cert = StructureBound.certify(&inst, 2).unwrap();
+        let Derivation::Structure {
+            family,
+            ref extents,
+            size_range,
+            min_cost,
+            boundary_edges,
+        } = cert.derivation
+        else {
+            panic!("wrong derivation");
+        };
+        assert!(cert.derivation.replay(&inst, 2).is_ok());
+        // Replay is bit-exact: a min cost one ulp off is caught ...
+        let tampered = Derivation::Structure {
+            family,
+            extents: extents.clone(),
+            size_range,
+            min_cost: f64::from_bits(min_cost.to_bits() + 1),
+            boundary_edges,
+        };
+        assert!(tampered.replay(&inst, 2).is_err());
+        // ... and so is a boundary edge count one ulp off.
+        let tampered = Derivation::Structure {
+            family,
+            extents: extents.clone(),
+            size_range,
+            min_cost,
+            boundary_edges: f64::from_bits(boundary_edges.to_bits() + 1),
+        };
+        assert!(tampered.replay(&inst, 2).is_err());
     }
 }

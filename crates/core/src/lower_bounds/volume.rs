@@ -248,6 +248,10 @@ impl LowerBound for DisconnectedBound {
 /// Replay a [`Derivation::Disconnected`]: re-run the feasibility search
 /// (with the budget the certificate was produced under) and re-derive
 /// the priced bound.
+#[expect(
+    clippy::float_cmp,
+    reason = "a certificate replays bit for bit: the stored intermediates are recomputed by the same deterministic code, so any difference, even one ulp, means the witness was tampered with or the instance changed"
+)]
 pub(crate) fn replay_disconnected(
     inst: &Instance,
     k: usize,
@@ -370,5 +374,32 @@ mod tests {
             let replayed = cert.derivation.replay(&inst, k).unwrap();
             assert_eq!(replayed, cert.value);
         }
+    }
+
+    #[test]
+    fn witness_tampering_is_caught() {
+        // Triangle plus 5-cycle, k = 2: no whole-component grouping fits.
+        let mut edges = vec![(0u32, 1u32), (1, 2), (2, 0)];
+        for (u, v) in [(3u32, 4u32), (4, 5), (5, 6), (6, 7), (7, 3)] {
+            edges.push((u, v));
+        }
+        let inst = unit(graph_from_edges(8, &edges));
+        let cert = DisconnectedBound::default().certify(&inst, 2).unwrap();
+        let Derivation::Disconnected {
+            components,
+            min_cost,
+            node_budget,
+        } = cert.derivation
+        else {
+            panic!("wrong derivation");
+        };
+        assert!(cert.derivation.replay(&inst, 2).is_ok());
+        // Replay is bit-exact: a min cost one ulp off is caught.
+        let tampered = Derivation::Disconnected {
+            components,
+            min_cost: f64::from_bits(min_cost.to_bits() + 1),
+            node_budget,
+        };
+        assert!(tampered.replay(&inst, 2).is_err());
     }
 }

@@ -107,7 +107,10 @@ pub fn multibalance_minmax<S: Splitter + ?Sized>(
 /// [`Solver`](crate::api::Solver) computes it once at build time and
 /// amortizes it across solves; this entry point is what makes that
 /// possible.
-#[allow(clippy::too_many_arguments)] // the paper's procedure parameters plus the cached π
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's procedure parameters plus the cached π"
+)]
 pub fn multibalance_minmax_with_pi<S: Splitter + ?Sized>(
     g: &Graph,
     costs: &[f64],
@@ -126,7 +129,10 @@ pub fn multibalance_minmax_with_pi<S: Splitter + ?Sized>(
 /// `Ψ`, the monochromatic-edge marks and every per-`Move` dynamic measure
 /// live in reusable scratch buffers (zero per-call allocation beyond the
 /// colorings themselves).
-#[allow(clippy::too_many_arguments)] // the paper's parameters plus π and the workspace
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's parameters plus π and the workspace"
+)]
 pub fn multibalance_minmax_with_pi_ws<S: Splitter + ?Sized>(
     g: &Graph,
     costs: &[f64],

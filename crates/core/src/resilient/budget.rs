@@ -10,10 +10,7 @@
 //! and panic-free, runs unconditionally. Overshoot is therefore bounded
 //! by the last rung's single-step latency, not by the ladder's length.
 
-use std::time::Duration;
-// lint: allow(nondeterminism) — import only; the one `Instant::now` call
-// site below carries its own audited pragma.
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Wall-clock budget for one resilient solve, split across rungs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -97,27 +94,26 @@ impl RetryPolicy {
 /// The running clock of one resilient solve: started once, consulted at
 /// every rung boundary.
 pub(crate) struct BudgetClock {
-    // lint: allow(nondeterminism) — the deadline clock is the caller's
-    // explicit wall-clock budget; it gates which rung serves, never the
-    // content of any rung's coloring.
+    // The deadline clock is the caller's explicit wall-clock budget; it
+    // gates which rung serves, never the content of any rung's coloring.
     start: Instant,
     total: Option<Duration>,
 }
 
 impl BudgetClock {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the deadline clock is the caller's explicit wall-clock budget; it decides which rung serves (reported in the Resilience record), never the content of any rung's coloring"
+    )]
     pub(crate) fn start(total: Option<Duration>) -> Self {
         BudgetClock {
-            // lint: allow(nondeterminism) — the deadline clock is the
-            // caller's explicit wall-clock budget; it decides which rung
-            // serves (reported in the Resilience record), never the
-            // content of any rung's coloring.
             start: Instant::now(),
             total,
         }
     }
 
+    #[expect(clippy::disallowed_methods, reason = "deadline clock, see `start`")]
     pub(crate) fn elapsed(&self) -> Duration {
-        // lint: allow(nondeterminism) — deadline clock, see `start`.
         Instant::now() - self.start
     }
 

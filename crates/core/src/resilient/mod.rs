@@ -337,6 +337,10 @@ impl<'i> ResilientSolver<'i> {
             let outcome = loop {
                 tries += 1;
                 let is_first_fit = rung_idx == rung_count - 1;
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "the rung boundary of the degradation ladder: a panicking rung must degrade the answer, not take down the serve path. All state the closure touches is rebuilt per try (solver, splitter, scratch epochs roll back via Drop), so observing it after an unwind is sound"
+                )]
                 let product = if is_first_fit {
                     // The greedy rung is pure; run it directly (still
                     // validated like everything else).
@@ -344,12 +348,6 @@ impl<'i> ResilientSolver<'i> {
                         self.inst, self.k,
                     ))))
                 } else {
-                    // lint: allow(catch-unwind) — the rung boundary of the
-                    // degradation ladder: a panicking rung must degrade the
-                    // answer, not take down the serve path. All state the
-                    // closure touches is rebuilt per try (solver, splitter,
-                    // scratch epochs roll back via Drop), so observing it
-                    // after an unwind is sound.
                     catch_unwind(AssertUnwindSafe(|| self.run_rung(rung_idx, &clock)))
                 };
                 match product {
@@ -443,7 +441,10 @@ impl<'i> ResilientSolver<'i> {
         }
     }
 
-    #[allow(clippy::too_many_arguments)] // internal assembly of the final record
+    #[allow(
+        clippy::too_many_arguments,
+        reason = "internal assembly of the final record"
+    )]
     fn finish(
         &self,
         mut report: Report,

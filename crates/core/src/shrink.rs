@@ -176,7 +176,10 @@ pub struct ShrinkOutput {
 /// buffer, `AddTo` underweight classes from the buffer (or from wealthy
 /// donors, Corollary 17), `ReduceBuffer` leftovers onto light classes, then
 /// extract one rich layer `X_i` per class (Corollary 18) to form `χ₀`.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's procedure parameters
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's procedure parameters"
+)]
 pub fn shrink<S: Splitter + ?Sized>(
     g: &Graph,
     costs: &[f64],
@@ -194,7 +197,10 @@ pub fn shrink<S: Splitter + ?Sized>(
 /// level materializes (`π`, `deg_W`, per-class boundary measures) comes
 /// from the reusable scratch pool, so one shrink level costs
 /// `O(vol(W) + k)` in buffer work instead of `O(n)` per measure.
-#[allow(clippy::too_many_arguments)] // the paper's parameters plus the workspace
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's parameters plus the workspace"
+)]
 pub fn shrink_ws<S: Splitter + ?Sized>(
     g: &Graph,
     costs: &[f64],
@@ -311,7 +317,10 @@ pub fn shrink_ws<S: Splitter + ?Sized>(
 /// Proposition 11: transform a weakly `w`-balanced coloring of `domain`
 /// into an **almost strictly balanced** one (every class within `2·‖w‖_∞`
 /// of the average) without blowing up boundary or splitting costs.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's procedure parameters
+#[allow(
+    clippy::too_many_arguments,
+    reason = "mirrors the paper's procedure parameters"
+)]
 pub fn almost_strict<S: Splitter + ?Sized>(
     g: &Graph,
     costs: &[f64],
@@ -331,7 +340,10 @@ pub fn almost_strict<S: Splitter + ?Sized>(
 /// recursion level**: the shrink-and-conquer descent re-uses the same few
 /// scratch buffers from the root call down to the base case, which is what
 /// makes a level cost `O(vol(W))` instead of `O(n)`.
-#[allow(clippy::too_many_arguments)] // the paper's parameters plus the workspace
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's parameters plus the workspace"
+)]
 pub fn almost_strict_ws<S: Splitter + ?Sized>(
     g: &Graph,
     costs: &[f64],
@@ -346,7 +358,10 @@ pub fn almost_strict_ws<S: Splitter + ?Sized>(
     almost_strict_rec(g, costs, splitter, chi, domain, weights, p, params, 0, ws)
 }
 
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the paper's parameters plus the recursion depth and the workspace"
+)]
 fn almost_strict_rec<S: Splitter + ?Sized>(
     g: &Graph,
     costs: &[f64],

@@ -53,6 +53,10 @@ fn chaos_solve(
         .bnb(BnbConfig::with_node_budget(2_000))
         .build()
         .unwrap();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test catches any panic that escapes the public API"
+    )]
     let (outcome, log) = with_faults(schedule, || {
         catch_unwind(AssertUnwindSafe(|| solver.solve()))
     });
@@ -134,6 +138,10 @@ fn chaos_deadline_overshoot_stays_bounded_while_sites_stall() {
                 .budget(DeadlineBudget::with_total(budget))
                 .build()
                 .unwrap();
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the test catches any panic that escapes the public API"
+            )]
             let (outcome, _) = with_faults(&schedule, || {
                 catch_unwind(AssertUnwindSafe(|| solver.solve()))
             });
@@ -153,6 +161,10 @@ fn chaos_deadline_overshoot_stays_bounded_while_sites_stall() {
 #[test]
 fn chaos_batches_return_typed_results_per_slot() {
     let instances: Vec<Instance> = corpus().into_iter().map(|(inst, _)| inst).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test catches any panic that escapes the public API"
+    )]
     for seed in SEEDS {
         let schedule = FaultSchedule::chaos(seed);
         // Inline execution so the armed schedule reaches every item.

@@ -58,6 +58,10 @@ fn fine_stride_keeps_deadline_overshoot_bounded() {
     // few milliseconds can exhaust, so the deadline must actually bite.
     let inst = lattice_instance(&[5, 4]);
     let budget = Duration::from_millis(5);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test measures deadline overshoot"
+    )]
     let t0 = Instant::now();
     let sol = bnb::solve(&inst, 4, &BnbConfig::with_time_budget(budget, 1)).unwrap();
     let elapsed = t0.elapsed();

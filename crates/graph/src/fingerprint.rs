@@ -72,7 +72,7 @@ impl Digest {
 /// The canonical fingerprint of a weighted instance: structure, cost and
 /// weight digests, separable so consumers can key on exactly the parts
 /// their cached data depends on.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Fingerprint {
     /// Digest of `(n, m, canonical edge list)`.
     pub structure: u64,

@@ -9,6 +9,10 @@
 //! vertices; the GridSplit algorithm (in `mmb-splitters`) needs them for
 //! the coarsening maps `ϕ_α^{(ℓ)}`.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "membership and id lookups only; no map here is ever iterated"
+)]
 use std::collections::HashMap;
 
 use rand::rngs::StdRng;
@@ -75,6 +79,10 @@ impl GridGraph {
     /// (deduplicated) points, edges join points at `L1` distance exactly 1.
     ///
     /// `O(n·d)` expected time via hashing.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point-to-id lookups only; ids follow the input order, never the map's"
+    )]
     pub fn from_points(dim: usize, points: Vec<Vec<i64>>) -> Self {
         assert!(dim >= 1, "dimension must be at least 1");
         for p in &points {
@@ -211,6 +219,10 @@ impl GridGraph {
 
     /// Random connected "blob": a lattice-random-walk-grown region of `n`
     /// points in `d` dimensions (useful as an irregular mesh stand-in).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership test only; the point list is the insertion-order Vec"
+    )]
     pub fn random_blob(dim: usize, n: usize, seed: u64) -> Self {
         assert!(dim >= 1 && n >= 1);
         let mut rng = StdRng::seed_from_u64(seed);

@@ -7,6 +7,10 @@
 //! long-range shortcuts — the corpus family probing how much a handful of
 //! non-local edges degrades boundary quality.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "edge-set membership; the set is sorted before it reaches the builder"
+)]
 use std::collections::HashSet;
 
 use rand::rngs::StdRng;
@@ -23,6 +27,10 @@ use crate::graph::{Graph, GraphBuilder};
 ///
 /// # Panics
 /// Panics unless `n > 2·k_half ≥ 2` and `0 ≤ beta ≤ 1`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "edge-set membership; the set is sorted before it reaches the builder"
+)]
 pub fn watts_strogatz(n: usize, k_half: usize, beta: f64, seed: u64) -> Graph {
     assert!(k_half >= 1, "half-degree must be at least 1");
     assert!(n > 2 * k_half, "ring lattice needs n > 2·k_half");

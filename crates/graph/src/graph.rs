@@ -282,10 +282,10 @@ impl GraphBuilder {
     pub fn build(self) -> Graph {
         match self.try_build() {
             Ok(g) => g,
-            // lint: allow(panic-in-lib) — documented contract: `build` is
-            // the infallible convenience over `try_build`, and capacity
-            // overflow is a caller bug (same policy as `add_edge`'s
-            // asserts). The typed path exists and is one call away.
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: `build` is the infallible convenience over `try_build`, and capacity overflow is a caller bug (same policy as `add_edge`'s asserts). The typed path exists and is one call away"
+            )]
             Err(e) => panic!("GraphBuilder::build: {e}"),
         }
     }

@@ -30,15 +30,14 @@ pub type Measure = Vec<f64>;
 /// alternative code paths (workspace vs allocating) stay bit-identical to
 /// *each other*.
 #[inline]
+#[expect(
+    clippy::float_cmp,
+    reason = "1.0 and 2.0 are exactly representable; they are dispatch constants, not computed arithmetic"
+)]
 pub fn pow_p(x: f64, p: f64) -> f64 {
-    // lint: allow(float-eq) — 1.0 is exactly representable; this is a
-    // dispatch constant, not computed arithmetic (same for 2.0 below).
     if p == 1.0 {
         x
-    }
-    // lint: allow(float-eq) — 2.0 is exactly representable; dispatch
-    // constant, not computed arithmetic.
-    else if p == 2.0 {
+    } else if p == 2.0 {
         x * x
     } else if p.fract() == 0.0 && (1.0..=32.0).contains(&p) {
         x.powi(p as i32)
@@ -88,10 +87,12 @@ pub fn norm_p(f: &[f64], p: f64) -> f64 {
 /// The Hölder-dual exponent `q` with `1/p + 1/q = 1`.
 ///
 /// `p = 1 → q = ∞`; `p = ∞ → q = 1`.
+#[expect(
+    clippy::float_cmp,
+    reason = "1.0 is exactly representable; `p = 1` is the documented special case, so the comparison must be exact"
+)]
 pub fn dual_exponent(p: f64) -> f64 {
     assert!(p >= 1.0, "dual exponent requires p >= 1, got {p}");
-    // lint: allow(float-eq) — 1.0 is exactly representable; `p = 1` is the
-    // documented special case, so the comparison must be exact.
     if p == 1.0 {
         f64::INFINITY
     } else if p.is_infinite() {

@@ -17,6 +17,10 @@
 //! Callers that *know* their geometry (percolation subsets, blobs) should
 //! carry a [`GridGraph`] instead of a bare [`Graph`] and skip detection.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "coordinate-to-vertex lookups only; never iterated"
+)]
 use std::collections::HashMap;
 
 use crate::gen::grid::GridGraph;
@@ -152,6 +156,10 @@ pub fn path_positions(g: &Graph) -> Vec<i64> {
 /// candidate embedding is then verified — every edge must join points at
 /// `L1` distance exactly 1 and every distance-1 pair must be an edge — so
 /// the function never returns a wrong embedding.
+#[expect(
+    clippy::disallowed_types,
+    reason = "coordinate-to-vertex lookups only; never iterated"
+)]
 pub fn try_lattice_embedding(g: &Graph) -> Option<GridGraph> {
     let n = g.num_vertices();
     if n == 0 || !g.is_connected() {

@@ -292,7 +292,7 @@ impl Corpus {
         c
     }
 
-    #[allow(clippy::too_many_arguments)] // internal assembly of one entry
+    #[allow(clippy::too_many_arguments, reason = "internal assembly of one entry")]
     fn push(
         &mut self,
         family: &'static str,

@@ -213,15 +213,16 @@ impl Service {
     }
 
     fn serve_one(&self, index: usize, req: Request) -> Response {
-        // lint: allow(nondeterminism) — wall-clock timestamps feed only the
-        // record's observational `elapsed_millis`, never a coloring.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timestamps feed only the record's observational `elapsed_millis`, never a coloring"
+        )]
         let t0 = std::time::Instant::now();
         let hooked = AssertUnwindSafe(|| self.dispatch(req));
-        // lint: allow(catch-unwind) — the request isolation boundary: a
-        // panic (injected or genuine) in one request's solve becomes that
-        // request's typed error instead of unwinding through the rayon
-        // worker and taking down the batch. Shared state is lock-guarded
-        // and locks recover from poisoning in `lock_cache`/`lock_memo`.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the request isolation boundary: a panic (injected or genuine) in one request's solve becomes that request's typed error instead of unwinding through the rayon worker and taking down the batch. Shared state is lock-guarded and locks recover from poisoning in `lock_cache`/`lock_memo`"
+        )]
         let caught = std::panic::catch_unwind(hooked);
         let (outcome, cache, path) = caught.unwrap_or_else(|payload| {
             (

@@ -150,6 +150,10 @@ fn seeded_service_chaos_sweep_holds_the_contract() {
             },
         ];
         // No-escape prong: the whole armed serve must return normally.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test catches any panic that escapes `Service::serve`"
+        )]
         let witness = rayon::with_num_threads(1, || {
             with_faults(&schedule, || {
                 catch_unwind(AssertUnwindSafe(|| service.serve(batch)))

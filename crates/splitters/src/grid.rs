@@ -20,6 +20,10 @@
 //! returned set costs `O(d·log^{1/d}(φ+1)·‖c‖_{d/(d−1)})` (Theorem 19).
 
 use std::cell::RefCell;
+#[expect(
+    clippy::disallowed_types,
+    reason = "per-shift sums and cell grouping; see the iteration sites for why order never leaks"
+)]
 use std::collections::HashMap;
 
 use mmb_graph::gen::grid::GridGraph;
@@ -36,6 +40,10 @@ use crate::{prefix_split, Splitter};
 struct SplitScratch {
     members: Vec<VertexId>,
     edges: Vec<(i64, f64)>,
+    #[expect(
+        clippy::disallowed_types,
+        reason = "sparse per-shift sums, reduced only by `pick_alpha`"
+    )]
     per_alpha: HashMap<i64, f64>,
     alpha_dense: Vec<f64>,
     keyed: Vec<(u64, u32, VertexId)>,
@@ -185,8 +193,10 @@ impl<'g> GridSplitter<'g> {
                 cu[axis].min(cv[axis])
             })
             .collect();
-        // lint: allow(float-eq) — 1.0 is exactly representable; this is a
-        // fast-path dispatch on the scaler's exact sentinel, not arithmetic.
+        #[expect(
+            clippy::float_cmp,
+            reason = "1.0 is exactly representable; this is a fast-path dispatch on the scaler's exact sentinel, not arithmetic"
+        )]
         let uniform_cost = scaled.iter().all(|&c| c == 1.0);
         Self {
             grid,
@@ -232,6 +242,11 @@ impl<'g> GridSplitter<'g> {
 
     /// The cheapest shift α (ties to the smallest α so two splitters built
     /// from the same instance always cut identically), or any uncut shift.
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "min under total_cmp with the α tie-break is iteration-order independent"
+    )]
     fn pick_alpha(per_alpha: &HashMap<i64, f64>, ell: i64) -> i64 {
         if (per_alpha.len() as i64) < ell {
             // Some shift cuts nothing at all.
@@ -239,8 +254,6 @@ impl<'g> GridSplitter<'g> {
                 .find(|a| !per_alpha.contains_key(a))
                 .expect("len < ell guarantees an uncut shift")
         } else {
-            // lint: allow(hash-order-leak) — min under total_cmp with the
-            // α tie-break is iteration-order independent.
             *per_alpha
                 .iter()
                 .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
@@ -253,6 +266,10 @@ impl<'g> GridSplitter<'g> {
     /// HashMap cell grouping with per-member key vectors). Kept verbatim
     /// as the [`ScratchMode::Transient`] reference so perf baselines can
     /// A/B old vs new on identical inputs.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "per-shift sums and cell grouping; the cells are sorted by key before they are returned"
+    )]
     fn coarsen_legacy(&self, members: &[VertexId], level: u32) -> Option<Vec<Vec<VertexId>>> {
         let d = self.grid.dim;
         let in_s = VertexSet::from_iter(self.grid.graph.num_vertices(), members.iter().copied());
@@ -300,6 +317,10 @@ impl<'g> GridSplitter<'g> {
             }
             *per_alpha.entry(alpha).or_insert(0.0) += cost;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "min under total_cmp with the α tie-break is iteration-order independent"
+        )]
         let alpha = if (per_alpha.len() as i64) < ell {
             // Some shift cuts nothing at all.
             (1..=ell)
@@ -308,8 +329,6 @@ impl<'g> GridSplitter<'g> {
         } else {
             // Cheapest shift, ties broken by smallest α so two splitters
             // built from the same instance always cut identically.
-            // lint: allow(hash-order-leak) — min under total_cmp with the
-            // α tie-break is iteration-order independent.
             *per_alpha
                 .iter()
                 .min_by(|a, b| a.1.total_cmp(b.1).then(a.0.cmp(b.0)))
