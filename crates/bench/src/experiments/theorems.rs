@@ -203,7 +203,8 @@ pub fn e3(quick: bool) -> Table {
 }
 
 /// E5 — Theorem 19: GridSplit cost vs `d·log^{1/d}(φ+1)·‖c‖_{d/(d−1)}`
-/// across dimension and fluctuation.
+/// across dimension and fluctuation, with each split's wall-clock time
+/// (Lemma 27: `O(m·log φ)`).
 pub fn e5(quick: bool) -> Table {
     let mut t = Table::new(
         "E5: Theorem 19 — GridSplit cost vs d·log^{1/d}(φ+1)·‖c‖_{d/(d−1)}",
@@ -215,6 +216,7 @@ pub fn e5(quick: bool) -> Table {
             "cut cost",
             "bound",
             "ratio",
+            "ms",
         ],
     );
     let phis: &[f64] = if quick {
@@ -250,7 +252,7 @@ pub fn e5(quick: bool) -> Table {
             for &phi in phis {
                 let costs = fam.generate(&grid, phi, 31);
                 let sp = GridSplitter::new(&grid, &costs);
-                let u = sp.split(&w, &weights, n as f64 / 2.0);
+                let (u, ms) = timed(|| sp.split(&w, &weights, n as f64 / 2.0));
                 let cut = mmb_graph::cut::boundary_cost_within(&grid.graph, &costs, &w, &u);
                 let cnorm = total_edge_norm_p(&grid.graph, &costs, p);
                 let bound = theorem19_bound(d, phi, cnorm);
@@ -262,18 +264,19 @@ pub fn e5(quick: bool) -> Table {
                     fmt(cut),
                     fmt(bound),
                     fmt(cut / bound),
+                    fmt(ms),
                 ]);
             }
         }
     }
-    t.note("p = d/(d−1) (p = 2 for the path); ratio must stay bounded as φ sweeps 6 decades");
+    t.note("p = d/(d−1) (p = 2 for the path); ratio must stay bounded as φ sweeps 6 decades; ms = one split, O(m·log φ) by Lemma 27");
     t
 }
 
 /// E6 — running time: near-linear in |G|, multiplicative in log k
-/// (Theorem 4); coarse wall-clock shape (criterion benches give precise
-/// numbers). Timed per `solve()` on a prebuilt [`Solver`], so the figure
-/// is the marginal serve cost, not the one-time build.
+/// (Theorem 4); coarse wall-clock shape. Timed per `solve()` on a
+/// prebuilt [`Solver`], so the figure is the marginal serve cost, not the
+/// one-time build.
 pub fn e6(quick: bool) -> Table {
     let mut t = Table::new(
         "E6: Theorem 4 running time — t(|G|)·log k shape",

@@ -9,8 +9,8 @@
 //! cargo run -p mmb-bench --bin reproduce --release -- e1 e5 --quick
 //! ```
 //!
-//! Timing-focused measurements live in the criterion benches
-//! (`cargo bench -p mmb-bench`).
+//! Timing lives in the same binary: the `ms` columns of E5–E7 and the
+//! recorded perf baselines of `reproduce bench` (`BENCH_6.json`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

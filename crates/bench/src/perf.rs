@@ -5,8 +5,8 @@
 //! `BENCH_6.json` (schema `"mmb-bench-6"`, hand-rolled writer — no serde
 //! in the offline environment):
 //!
-//! * **scaling** — the `decompose_scaling` configurations, each solved on
-//!   the same `Solver` under both scratch policies
+//! * **scaling** — uniform-weight grids of growing side at `k = 16`, each
+//!   solved on the same `Solver` under both scratch policies
 //!   ([`ScratchPolicy::Transient`] = the old allocate-per-call profile vs
 //!   [`ScratchPolicy::Reuse`] = the workspace path), with per-stage
 //!   wall-clock and the workspace's allocation counters (the peak-RSS

@@ -7,9 +7,8 @@
 //!   [`Instance`](crate::api::Instance) construction.
 //! * [`SolveError`] — the solver configuration cannot run (no classes, a
 //!   splitter family requested that the instance's structure does not
-//!   support), or wraps an [`InstanceError`] when the legacy
-//!   [`decompose`](crate::pipeline::decompose) wrapper funnels both
-//!   through one result type.
+//!   support), or wraps an [`InstanceError`] for entry points that take
+//!   raw slices (the baselines, delta re-solves) and validate them late.
 //!
 //! Every `Display` lives in this module, generated by one hand-rolled
 //! `thiserror`-style macro: each variant is declared next to its message,
@@ -126,8 +125,8 @@ pub enum SolveError {
         /// the offending value
         p: f64,
     },
-    /// The instance itself is malformed (legacy `decompose` path; the
-    /// `Instance` constructor reports this directly).
+    /// The input data is malformed, found by an entry point that takes
+    /// raw slices (the `Instance` constructor reports this directly).
     Instance(InstanceError),
     /// The requested splitter family does not apply to this instance's
     /// structure (e.g. `SplitterChoice::Tree` on a graph with cycles).

@@ -27,10 +27,6 @@
 //! assert!(report.bound_ratio.is_finite());
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
-//!
-//! The legacy free function [`decompose`](crate::pipeline::decompose) is
-//! kept as a thin wrapper over this API for existing call sites; new code
-//! should construct an [`Instance`] and a [`Solver`].
 
 pub mod artifacts;
 pub mod delta;

@@ -1,18 +1,17 @@
 //! The structured result of a [`Solver::solve`](crate::api::Solver::solve)
 //! call.
 //!
-//! A [`Report`] carries everything the old call sites used to recompute by
-//! hand after `decompose`: the coloring, the per-class weight/boundary
-//! table, strict-balance defect and slack, the Theorem-4/5 bound
-//! right-hand side with the measured/bound ratio, and the intermediate
-//! stage colorings for ablation experiments (E8).
+//! A [`Report`] carries everything a caller needs from one solve: the
+//! coloring, the per-class weight/boundary table, strict-balance defect
+//! and slack, the Theorem-4/5 bound right-hand side with the
+//! measured/bound ratio, and the intermediate stage colorings for
+//! ablation experiments (E8).
 
 use mmb_graph::measure::{norm_1, norm_inf};
 use mmb_graph::Coloring;
 
 use crate::bounds;
 use crate::lower_bounds::CertifiedGap;
-use crate::pipeline::Decomposition;
 
 /// One row of the per-class table: `(class, weight, boundary cost)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -157,17 +156,5 @@ impl Report {
                 boundary_cost,
             })
             .collect()
-    }
-
-    /// Bridge to the legacy [`Decomposition`] shape (used by the
-    /// [`decompose`](crate::pipeline::decompose) wrapper).
-    pub fn into_decomposition(self) -> Decomposition {
-        Decomposition {
-            boundary_costs: self.boundary_costs,
-            class_weights: self.class_weights,
-            strict_defect: self.strict_defect,
-            stages: (self.stages.multibalanced, self.stages.almost_strict),
-            coloring: self.coloring,
-        }
     }
 }

@@ -34,9 +34,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! The legacy free function [`pipeline::decompose`] remains as a thin
-//! wrapper over the same machinery.
-//!
 //! ## Pipeline
 //!
 //! The pipeline composes the paper's three stages:
@@ -115,9 +112,7 @@ pub use lower_bounds::{
     LowerBoundReport,
 };
 pub use oracle::{exact_min_max_boundary, ExactOracle, OracleSolution};
-pub use pipeline::{
-    decompose, CoarsenConfig, DecomposeError, Decomposition, PipelineConfig, ScratchPolicy,
-};
+pub use pipeline::{CoarsenConfig, PipelineConfig, ScratchPolicy};
 pub use refine::{refine, refine_region, KlParams};
 pub use resilient::{
     DeadlineBudget, Resilience, ResilientConfig, ResilientSolver, RetryPolicy, RungOutcome,
@@ -134,9 +129,7 @@ pub mod prelude {
     pub use crate::lower_bounds::{best_lower_bound, certify, CertifiedGap, LowerBound};
     pub use crate::oracle::{exact_min_max_boundary, ExactOracle};
     pub use crate::pi::splitting_cost_measure;
-    pub use crate::pipeline::{
-        decompose, DecomposeError, Decomposition, PipelineConfig, ScratchPolicy,
-    };
+    pub use crate::pipeline::{PipelineConfig, ScratchPolicy};
     pub use crate::resilient::{DeadlineBudget, Resilience, ResilientSolver, RetryPolicy};
     pub use crate::verify::{verify_decomposition, DecompositionReport};
 }

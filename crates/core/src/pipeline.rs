@@ -1,5 +1,5 @@
-//! The Theorem 4 pipeline: `decompose` = Proposition 7 → Proposition 11 →
-//! Proposition 12.
+//! Configuration of the Theorem 4 pipeline, Proposition 7 → Proposition 11
+//! → Proposition 12:
 //!
 //! ```text
 //! χ₁ = multibalance_minmax(w, π, extra measures)   // weakly balanced,
@@ -11,30 +11,15 @@
 //! The result is a strictly balanced `k`-coloring with maximum boundary
 //! cost `O_p(σ_p·(k^{−1/p}·‖c‖_p + Δ_c))`; the conclusion's multi-balanced
 //! variant (weak balance in arbitrary extra measures, strict balance in
-//! `w`) falls out of the same call by passing `extra_measures`.
+//! `w`) falls out of the same solve when the [`crate::api::Instance`]
+//! carries extra measures.
 //!
-//! **Legacy surface.** [`decompose`] predates the
-//! [`crate::api::Instance`]/[`crate::api::Solver`] API
-//! and is kept as a thin wrapper over it so existing call sites (and their
-//! test baselines) keep working unchanged. It copies its borrowed inputs
-//! into a fresh `Instance` and builds a single-use `Solver` per call — for
-//! anything called repeatedly on the same instance, build an `Instance`
-//! and a `Solver` once instead (see [`crate::api`]).
+//! The pipeline runs through [`crate::api::Solver::solve`]; this module
+//! holds the [`PipelineConfig`] a solver is built with.
 
-use mmb_graph::measure::norm_inf;
-use mmb_graph::{Coloring, Graph};
-use mmb_splitters::Splitter;
-
-use crate::api::{Instance, Solver, SplitterChoice};
 use crate::coarsen::CoarsenParams;
 use crate::refine::KlParams;
 use crate::shrink::ShrinkParams;
-
-pub use crate::api::error::{InstanceError, SolveError};
-
-/// Legacy alias for the error type [`decompose`] reports; instance-shaped
-/// problems arrive as [`SolveError::Instance`].
-pub type DecomposeError = SolveError;
 
 /// How the pipeline sources the dense scratch measures (`π`, boundary
 /// measures, induced degrees, `Ψ`) its stages materialize, and which
@@ -117,250 +102,5 @@ impl PipelineConfig {
             p,
             ..Self::default()
         }
-    }
-}
-
-/// Result of [`decompose`].
-#[derive(Clone, Debug)]
-pub struct Decomposition {
-    /// The strictly balanced `k`-coloring.
-    pub coloring: Coloring,
-    /// Per-class boundary costs `∂χ⁻¹`.
-    pub boundary_costs: Vec<f64>,
-    /// Per-class weights `wχ⁻¹`.
-    pub class_weights: Vec<f64>,
-    /// Strict-balance defect (≤ 0 up to fp noise).
-    pub strict_defect: f64,
-    /// The intermediate colorings, for ablation experiments:
-    /// (Proposition 7 output, Proposition 11 output).
-    pub stages: (Coloring, Coloring),
-}
-
-impl Decomposition {
-    /// Maximum boundary cost `‖∂χ⁻¹‖∞`.
-    pub fn max_boundary(&self) -> f64 {
-        norm_inf(&self.boundary_costs)
-    }
-
-    /// Average boundary cost `‖∂χ⁻¹‖_avg`.
-    pub fn avg_boundary(&self) -> f64 {
-        self.boundary_costs.iter().sum::<f64>() / self.boundary_costs.len() as f64
-    }
-}
-
-/// Compute a strictly balanced `k`-coloring of `(g, costs, weights)` with
-/// small maximum boundary cost (Theorem 4), using `splitter` for all
-/// splitting sets.
-///
-/// `extra_measures` are additionally weakly balanced (the conclusion's
-/// multi-balanced variant); pass `&[]` for the plain problem.
-///
-/// This is the legacy one-shot entry point, now a thin wrapper that
-/// builds an [`Instance`] and a single-use [`Solver`] per call; prefer
-/// those types directly when solving repeatedly (see [`crate::api`]).
-pub fn decompose<S: Splitter + ?Sized>(
-    g: &Graph,
-    costs: &[f64],
-    weights: &[f64],
-    k: usize,
-    splitter: &S,
-    extra_measures: &[&[f64]],
-    cfg: &PipelineConfig,
-) -> Result<Decomposition, DecomposeError> {
-    if k == 0 {
-        // Checked before the instance copy so the cheap error stays cheap.
-        return Err(SolveError::ZeroColors);
-    }
-    let mut inst = Instance::new(g.clone(), costs.to_vec(), weights.to_vec())?;
-    for m in extra_measures {
-        inst = inst.with_extra_measure(m.to_vec())?;
-    }
-    let solver = Solver::for_instance(&inst)
-        .classes(k)
-        .config(cfg.clone())
-        .splitter(SplitterChoice::Custom(Box::new(splitter)))
-        .build()?;
-    Ok(solver.solve().into_decomposition())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use mmb_graph::gen::grid::GridGraph;
-    use mmb_splitters::grid::GridSplitter;
-
-    #[test]
-    fn end_to_end_on_grid() {
-        let grid = GridGraph::lattice(&[16, 16]);
-        let n = grid.graph.num_vertices();
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
-        let weights: Vec<f64> = (0..n).map(|v| 1.0 + ((v * 31) % 5) as f64).collect();
-        for k in [2usize, 3, 8] {
-            let d = decompose(
-                &grid.graph,
-                &costs,
-                &weights,
-                k,
-                &sp,
-                &[],
-                &PipelineConfig::with_p(2.0),
-            )
-            .unwrap();
-            assert!(d.coloring.is_total());
-            assert!(
-                d.coloring.is_strictly_balanced(&weights),
-                "k={k}: defect {}",
-                d.strict_defect
-            );
-            assert!(d.max_boundary() > 0.0);
-        }
-    }
-
-    #[test]
-    fn input_validation() {
-        let grid = GridGraph::lattice(&[3, 3]);
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
-        let cfg = PipelineConfig::default();
-        let w9 = vec![1.0; 9];
-        assert_eq!(
-            decompose(&grid.graph, &costs, &w9, 0, &sp, &[], &cfg).unwrap_err(),
-            SolveError::ZeroColors
-        );
-        let w_bad = vec![1.0; 5];
-        assert!(matches!(
-            decompose(&grid.graph, &costs, &w_bad, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::WeightLength { .. })
-        ));
-        let c_bad = vec![1.0; 3];
-        assert!(matches!(
-            decompose(&grid.graph, &c_bad, &w9, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::CostLength { .. })
-        ));
-        let w_nan = {
-            let mut w = w9.clone();
-            w[0] = f64::NAN;
-            w
-        };
-        assert_eq!(
-            decompose(&grid.graph, &costs, &w_nan, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::NotFinite { what: "weights" })
-        );
-        let w_neg = {
-            let mut w = w9.clone();
-            w[0] = -1.0;
-            w
-        };
-        assert_eq!(
-            decompose(&grid.graph, &costs, &w_neg, 2, &sp, &[], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::NotFinite { what: "weights" })
-        );
-        let m_bad = vec![1.0; 4];
-        assert!(matches!(
-            decompose(&grid.graph, &costs, &w9, 2, &sp, &[&m_bad], &cfg).unwrap_err(),
-            SolveError::Instance(InstanceError::MeasureLength { .. })
-        ));
-    }
-
-    #[test]
-    fn k_larger_than_n() {
-        let grid = GridGraph::lattice(&[3, 3]);
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
-        let weights = vec![1.0; 9];
-        let d = decompose(
-            &grid.graph,
-            &costs,
-            &weights,
-            20,
-            &sp,
-            &[],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
-        assert!(d.coloring.is_total());
-        assert!(d.coloring.is_strictly_balanced(&weights));
-    }
-
-    #[test]
-    fn extra_measures_get_weakly_balanced() {
-        let grid = GridGraph::lattice(&[16, 16]);
-        let n = grid.graph.num_vertices();
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
-        let weights = vec![1.0; n];
-        // A second resource concentrated on a corner block.
-        let mem: Vec<f64> = (0..n as u32)
-            .map(|v| {
-                let c = grid.coord(v);
-                if c[0] < 4 && c[1] < 4 {
-                    8.0
-                } else {
-                    0.25
-                }
-            })
-            .collect();
-        let k = 8;
-        let d = decompose(
-            &grid.graph,
-            &costs,
-            &weights,
-            k,
-            &sp,
-            &[&mem],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
-        assert!(d.coloring.is_strictly_balanced(&weights));
-        let mem_classes = d.coloring.class_measures(&mem);
-        let mem_avg: f64 = mem.iter().sum::<f64>() / k as f64;
-        let mem_max_class = norm_inf(&mem_classes);
-        // Weak balance: O(avg + max) with moderate constants.
-        assert!(
-            mem_max_class <= 12.0 * mem_avg + 64.0 * norm_inf(&mem),
-            "extra measure unbalanced: {mem_max_class} vs avg {mem_avg}"
-        );
-    }
-
-    #[test]
-    fn skip_shrink_ablation_still_strict() {
-        let grid = GridGraph::lattice(&[12, 12]);
-        let n = grid.graph.num_vertices();
-        let costs = vec![1.0; grid.graph.num_edges()];
-        let sp = GridSplitter::new(&grid, &costs);
-        let weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 2) as f64).collect();
-        let cfg = PipelineConfig {
-            skip_shrink: true,
-            ..PipelineConfig::default()
-        };
-        let d = decompose(&grid.graph, &costs, &weights, 6, &sp, &[], &cfg).unwrap();
-        assert!(d.coloring.is_strictly_balanced(&weights));
-    }
-
-    #[test]
-    fn wrapper_matches_solver_output() {
-        // The legacy wrapper and a hand-built Solver with the same
-        // splitter produce the identical coloring.
-        let grid = GridGraph::lattice(&[10, 10]);
-        let n = grid.graph.num_vertices();
-        let costs: Vec<f64> = (0..grid.graph.num_edges())
-            .map(|e| 1.0 + (e % 3) as f64)
-            .collect();
-        let weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 4) as f64).collect();
-        let sp = GridSplitter::new(&grid, &costs);
-        let d = decompose(
-            &grid.graph,
-            &costs,
-            &weights,
-            6,
-            &sp,
-            &[],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
-        let inst = Instance::from_grid(grid.clone(), costs.clone(), weights.clone()).unwrap();
-        let solver = Solver::for_instance(&inst).classes(6).build().unwrap();
-        assert_eq!(solver.solve().coloring, d.coloring);
     }
 }

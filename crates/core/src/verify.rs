@@ -17,6 +17,10 @@ pub struct DecompositionReport {
     pub strict_defect: f64,
     /// Allowed slack `(1 − 1/k)·‖w‖∞` of eq. (1).
     pub strict_slack: f64,
+    /// Whether eq. (1) holds: the verdict of
+    /// [`Coloring::is_strictly_balanced`], whose tolerance scales with
+    /// `‖w‖∞` so tiny weights are judged as strictly as large ones.
+    pub strictly_balanced: bool,
     /// Per-class boundary costs `∂χ⁻¹`.
     pub boundary_costs: Vec<f64>,
     /// `‖∂χ⁻¹‖∞`.
@@ -28,7 +32,7 @@ pub struct DecompositionReport {
 impl DecompositionReport {
     /// Whether the coloring is a strictly balanced partition.
     pub fn is_valid(&self) -> bool {
-        self.is_partition && self.strict_defect <= 1e-9 * (1.0 + self.strict_slack)
+        self.is_partition && self.strictly_balanced
     }
 
     /// Measured/bound ratio against Theorem 5's upper bound
@@ -53,6 +57,7 @@ pub fn verify_decomposition(
         is_partition: chi.is_total(),
         strict_defect: chi.strict_balance_defect(weights),
         strict_slack: bounds::strict_slack(k, norm_inf(weights)),
+        strictly_balanced: chi.is_strictly_balanced(weights),
         max_boundary: norm_inf(&boundary_costs),
         avg_boundary: norm_1(&boundary_costs) / k as f64,
         class_weights,
@@ -91,6 +96,26 @@ mod tests {
         assert!(r.is_partition);
         assert!(!r.is_valid());
         assert!(r.strict_defect > 0.0);
+    }
+
+    #[test]
+    fn tiny_weights_get_the_same_tolerance() {
+        // Classes {0,1,2} | {3} deviate from the average by twice the
+        // slack of eq. (1) at every weight scale; an absolute tolerance
+        // floor would wave the 1e-12 case through.
+        let g = graph_from_edges(4, &[(0, 1), (1, 2), (2, 3)]);
+        let costs = vec![1.0; 3];
+        let chi = Coloring::from_vec(2, vec![0, 0, 0, 1]);
+        for scale in [1.0, 1e-6, 1e-12] {
+            let w = vec![scale; 4];
+            let r = verify_decomposition(&g, &costs, &w, &chi);
+            assert!(r.is_partition);
+            assert!(
+                !r.is_valid(),
+                "scale {scale}: accepted a 2× slack deviation"
+            );
+            assert!(r.strict_defect > 0.0);
+        }
     }
 
     #[test]

@@ -119,7 +119,15 @@ fn full_pipeline_deterministic_on_adversarial_weights() {
     let weights = adversarial_weights(n);
     let costs = vec![1.0; g.num_edges()];
     let sp = GridSplitter::new(&grid, &costs);
-    let run = || decompose(g, &costs, &weights, 4, &sp, &[], &PipelineConfig::default()).unwrap();
+    let inst = Instance::new(g.clone(), costs.clone(), weights.clone()).unwrap();
+    let run = || {
+        Solver::for_instance(&inst)
+            .classes(4)
+            .splitter(SplitterChoice::Custom(Box::new(&sp)))
+            .build()
+            .unwrap()
+            .solve()
+    };
     let a = run();
     let b = run();
     assert_eq!(a.coloring, b.coloring, "pipeline nondeterministic");

@@ -1,23 +1,23 @@
-//! Integration tests of the `Instance`/`Solver` API (and its equivalence
-//! with the legacy `decompose` wrapper).
+//! Integration tests of the `Instance`/`Solver` API.
 //!
-//! Covers the redesign's contract points:
-//! * `Solver::solve` and legacy `decompose` produce *identical* colorings
-//!   on random instances (property test — the wrapper changes no
-//!   behavior);
+//! Covers the API's contract points:
+//! * a caller's own splitter passed as `SplitterChoice::Custom` produces
+//!   the *identical* coloring to the built-in choice that constructs the
+//!   same splitter (property test, across scratch policies, `solve_many`
+//!   and thread counts);
 //! * `SplitterChoice::Auto` picks the expected family on grid / tree /
 //!   path / arbitrary inputs;
 //! * a built `Solver` reuses its constructed splitter across `solve()`
 //!   calls (constructions counted, calls recorded);
-//! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end through
-//!   `decompose` (trait-object story);
+//! * `Box<dyn Splitter>` / `Arc<dyn Splitter>` work end to end as
+//!   `SplitterChoice::Custom` (trait-object story);
 //! * builder/validation errors surface as typed `SolveError`s.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use mmb_core::api::{solve_many, Instance, SolveError, Solver, SplitterChoice};
-use mmb_core::pipeline::{decompose, PipelineConfig, ScratchPolicy};
+use mmb_core::pipeline::{PipelineConfig, ScratchPolicy};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::gen::misc::path;
 use mmb_graph::gen::tree::random_tree;
@@ -43,13 +43,14 @@ fn det_weights(n: usize, seed: u64) -> Vec<f64> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    // The tentpole equivalence: the legacy wrapper and a Solver built on
-    // the same instance produce the *same coloring*, bit for bit — across
-    // the workspace (`ScratchPolicy::Reuse`), the pre-overhaul allocating
-    // reference (`ScratchPolicy::Transient`), the batch `solve_many`
-    // entry point, and every thread count of the parallel shim.
+    // A caller-built GridSplit passed as `Custom` and the `Auto` choice
+    // (which resolves to GridSplit on a grid instance) produce the *same
+    // coloring*, bit for bit — across the workspace
+    // (`ScratchPolicy::Reuse`), the pre-overhaul allocating reference
+    // (`ScratchPolicy::Transient`), the batch `solve_many` entry point,
+    // and every thread count of the parallel shim.
     #[test]
-    fn solver_matches_decompose_on_random_grids(
+    fn custom_gridsplit_matches_auto_on_random_grids(
         side in 4usize..11,
         k in 1usize..10,
         seed in any::<u64>(),
@@ -58,13 +59,15 @@ proptest! {
         let costs = det_costs(grid.graph.num_edges(), seed);
         let weights = det_weights(grid.graph.num_vertices(), seed);
         let sp = GridSplitter::new(&grid, &costs);
-        let legacy = decompose(
-            &grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default(),
-        )
-        .unwrap();
         let inst = Instance::from_grid(grid.clone(), costs, weights).unwrap();
+        let custom = Solver::for_instance(&inst)
+            .classes(k)
+            .splitter(SplitterChoice::Custom(Box::new(&sp)))
+            .build()
+            .unwrap()
+            .solve();
         let report = Solver::for_instance(&inst).classes(k).build().unwrap().solve();
-        prop_assert_eq!(&report.coloring, &legacy.coloring);
+        prop_assert_eq!(&report.coloring, &custom.coloring);
         prop_assert!(report.is_strictly_balanced());
 
         // Workspace path ≡ allocating reference path.
@@ -78,7 +81,7 @@ proptest! {
             .build()
             .unwrap()
             .solve();
-        prop_assert_eq!(&transient.coloring, &legacy.coloring);
+        prop_assert_eq!(&transient.coloring, &custom.coloring);
 
         // solve_many ≡ one-at-a-time solve, for 1 and several worker
         // threads (the shim's deterministic chunked schedule).
@@ -89,12 +92,15 @@ proptest! {
             });
             prop_assert_eq!(results.len(), 1);
             let got = results.into_iter().next().unwrap().unwrap();
-            prop_assert_eq!(&got.coloring, &legacy.coloring, "threads = {}", threads);
+            prop_assert_eq!(&got.coloring, &custom.coloring, "threads = {}", threads);
         }
     }
 
+    // `Tree` (not `Auto`, which picks the walk-order splitter whenever
+    // the tree happens to be a path) constructs the same forest splitter
+    // the caller built, so the colorings agree on every tree.
     #[test]
-    fn solver_matches_decompose_on_random_trees(
+    fn custom_tree_splitter_matches_tree_choice_on_random_trees(
         n in 5usize..120,
         k in 1usize..8,
         seed in any::<u64>(),
@@ -103,11 +109,20 @@ proptest! {
         let costs = det_costs(g.num_edges(), seed);
         let weights = det_weights(n, seed);
         let sp = TreeSplitter::new(&g);
-        let legacy = decompose(&g, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
-        let inst = Instance::new(g, costs, weights).unwrap();
-        let report = Solver::for_instance(&inst).classes(k).build().unwrap().solve();
-        prop_assert_eq!(&report.coloring, &legacy.coloring);
+        let inst = Instance::new(g.clone(), costs, weights).unwrap();
+        let custom = Solver::for_instance(&inst)
+            .classes(k)
+            .splitter(SplitterChoice::Custom(Box::new(&sp)))
+            .build()
+            .unwrap()
+            .solve();
+        let report = Solver::for_instance(&inst)
+            .classes(k)
+            .splitter(SplitterChoice::Tree)
+            .build()
+            .unwrap()
+            .solve();
+        prop_assert_eq!(&report.coloring, &custom.coloring);
     }
 }
 
@@ -235,26 +250,52 @@ fn built_solver_reuses_its_splitter_across_solves() {
 }
 
 #[test]
-fn boxed_and_arc_splitters_run_through_decompose() {
+fn boxed_and_arc_splitters_run_as_custom() {
     let grid = GridGraph::lattice(&[8, 8]);
     let costs = vec![1.0; grid.graph.num_edges()];
     let weights = vec![1.0; 64];
-    let cfg = PipelineConfig::default();
+    let inst = Instance::new(grid.graph.clone(), costs.clone(), weights.clone()).unwrap();
+    let solve = |choice| {
+        Solver::for_instance(&inst)
+            .classes(4)
+            .splitter(choice)
+            .build()
+            .unwrap()
+            .solve()
+    };
 
     let boxed: Box<dyn Splitter + '_> = Box::new(GridSplitter::new(&grid, &costs));
-    // S = Box<dyn Splitter> (the Box blanket impl)…
-    let d_box = decompose(&grid.graph, &costs, &weights, 4, &boxed, &[], &cfg).unwrap();
-    // …and S = dyn Splitter (unsized) directly.
-    let d_dyn = decompose(&grid.graph, &costs, &weights, 4, boxed.as_ref(), &[], &cfg).unwrap();
+    // &Box<dyn Splitter> (the Box blanket impl)…
+    let d_box = solve(SplitterChoice::Custom(Box::new(&boxed)));
+    // …and &dyn Splitter (unsized) directly.
+    let d_dyn = solve(SplitterChoice::Custom(Box::new(boxed.as_ref())));
 
     // `Arc<T>: Sync` needs `T: Send`, so an `Arc`-boxed trait-object
     // splitter names `Send` too (all concrete splitters qualify).
     let arc: Arc<dyn Splitter + Send + '_> = Arc::new(GridSplitter::new(&grid, &costs));
-    let d_arc = decompose(&grid.graph, &costs, &weights, 4, &arc, &[], &cfg).unwrap();
+    let d_arc = solve(SplitterChoice::Custom(Box::new(&arc)));
 
     assert!(d_box.coloring.is_strictly_balanced(&weights));
     assert_eq!(d_box.coloring, d_dyn.coloring);
     assert_eq!(d_box.coloring, d_arc.coloring);
+}
+
+#[test]
+fn skip_shrink_ablation_still_strict() {
+    let grid = GridGraph::lattice(&[12, 12]);
+    let n = grid.graph.num_vertices();
+    let costs = vec![1.0; grid.graph.num_edges()];
+    let sp = GridSplitter::new(&grid, &costs);
+    let weights: Vec<f64> = (0..n).map(|v| 1.0 + (v % 2) as f64).collect();
+    let inst = Instance::new(grid.graph.clone(), costs.clone(), weights).unwrap();
+    let report = Solver::for_instance(&inst)
+        .classes(6)
+        .skip_shrink(true)
+        .splitter(SplitterChoice::Custom(Box::new(&sp)))
+        .build()
+        .unwrap()
+        .solve();
+    assert!(report.is_strictly_balanced());
 }
 
 #[test]

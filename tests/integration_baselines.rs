@@ -48,23 +48,20 @@ fn ours_beats_greedy_on_boundary_and_rb_on_balance() {
     let k = 12;
     let sp = GridSplitter::new(&wl.grid, &wl.costs);
 
-    let ours = decompose(
-        g,
-        &wl.costs,
-        &wl.weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
+    let inst = Instance::new(g.clone(), wl.costs.clone(), wl.weights.clone()).unwrap();
+    let ours = Solver::for_instance(&inst)
+        .classes(k)
+        .splitter(SplitterChoice::Custom(Box::new(&sp)))
+        .build()
+        .unwrap()
+        .solve();
     let greedy = lpt(n, k, &wl.weights).unwrap();
     let rb = recursive_bisection(g, &sp, &wl.weights, k).unwrap();
 
     // (a) ours is strictly balanced; (b) far cheaper boundary than greedy;
     // (c) within a constant factor of RB's boundary despite strictness.
     assert!(ours.coloring.is_strictly_balanced(&wl.weights));
-    let ours_max = ours.max_boundary();
+    let ours_max = ours.max_boundary;
     let greedy_max = greedy.max_boundary_cost(g, &wl.costs);
     let rb_max = rb.max_boundary_cost(g, &wl.costs);
     assert!(
@@ -92,16 +89,13 @@ fn rb_is_not_strict_under_adversarial_weights() {
     let weights = WeightFamily::Spike.generate(n, 4);
     let sp = GridSplitter::new(&wl.grid, &wl.costs);
     let rb = recursive_bisection(g, &sp, &weights, k).unwrap();
-    let ours = decompose(
-        g,
-        &wl.costs,
-        &weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
+    let inst = Instance::new(g.clone(), wl.costs.clone(), weights.clone()).unwrap();
+    let ours = Solver::for_instance(&inst)
+        .classes(k)
+        .splitter(SplitterChoice::Custom(Box::new(&sp)))
+        .build()
+        .unwrap()
+        .solve();
     assert!(ours.coloring.is_strictly_balanced(&weights));
     // RB has no strictness mechanism, so its defect is unconstrained (its
     // sign depends on the RNG stream — asserting on it is flaky). The

@@ -13,6 +13,8 @@ use mmb_splitters::recording::RecordingSplitter;
 use mmb_splitters::tree::TreeSplitter;
 use mmb_splitters::Splitter;
 
+/// Solve with the test's own splitter and assert eq. (1) through the
+/// independent verifier.
 fn check_strict<S: Splitter + ?Sized>(
     g: &mmb_graph::Graph,
     costs: &[f64],
@@ -20,9 +22,15 @@ fn check_strict<S: Splitter + ?Sized>(
     k: usize,
     sp: &S,
     label: &str,
-) -> Decomposition {
-    let d = decompose(g, costs, weights, k, sp, &[], &PipelineConfig::default())
+) -> Report {
+    let inst = Instance::new(g.clone(), costs.to_vec(), weights.to_vec())
         .unwrap_or_else(|e| panic!("{label}: {e}"));
+    let d = Solver::for_instance(&inst)
+        .classes(k)
+        .splitter(SplitterChoice::Custom(Box::new(sp)))
+        .build()
+        .unwrap_or_else(|e| panic!("{label}: {e}"))
+        .solve();
     let r = verify_decomposition(g, costs, weights, &d.coloring);
     assert!(r.is_partition, "{label}: not a partition");
     assert!(
@@ -64,16 +72,14 @@ fn three_dimensional_grid() {
     let costs = vec![1.0; grid.graph.num_edges()];
     let sp = GridSplitter::new(&grid, &costs);
     let weights = WeightFamily::PowerLaw.generate(n, 5);
-    let d = decompose(
-        &grid.graph,
-        &costs,
-        &weights,
-        9,
-        &sp,
-        &[],
-        &PipelineConfig::with_p(1.5),
-    )
-    .unwrap();
+    let inst = Instance::from_grid(grid.clone(), costs.clone(), weights.clone()).unwrap();
+    let d = Solver::for_instance(&inst)
+        .classes(9)
+        .p(1.5)
+        .splitter(SplitterChoice::Custom(Box::new(&sp)))
+        .build()
+        .unwrap()
+        .solve();
     assert!(d.coloring.is_strictly_balanced(&weights));
 }
 
@@ -116,10 +122,10 @@ fn failure_injection_adversarial_splitter_keeps_strictness() {
     let honest = GridSplitter::new(&grid, &costs);
     let dh = check_strict(&grid.graph, &costs, &weights, 8, &honest, "honest");
     assert!(
-        d.max_boundary() > dh.max_boundary(),
+        d.max_boundary > dh.max_boundary,
         "adversarial ({}) should be worse than honest ({})",
-        d.max_boundary(),
-        dh.max_boundary()
+        d.max_boundary,
+        dh.max_boundary
     );
 }
 
@@ -163,21 +169,12 @@ fn stage_outputs_are_consistent() {
     let costs = vec![1.0; grid.graph.num_edges()];
     let sp = GridSplitter::new(&grid, &costs);
     let weights = WeightFamily::Uniform.generate(n, 8);
-    let d = decompose(
-        &grid.graph,
-        &costs,
-        &weights,
-        10,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
+    let d = check_strict(&grid.graph, &costs, &weights, 10, &sp, "stages");
     // Stage 1 and 2 are total colorings too.
-    assert!(d.stages.0.is_total());
-    assert!(d.stages.1.is_total());
+    assert!(d.stages.multibalanced.is_total());
+    assert!(d.stages.almost_strict.is_total());
     // Stage 2 is almost strict: within 2‖w‖∞ of the average.
-    let cm = d.stages.1.class_measures(&weights);
+    let cm = d.stages.almost_strict.class_measures(&weights);
     let avg: f64 = cm.iter().sum::<f64>() / cm.len() as f64;
     let wmax = weights.iter().cloned().fold(0.0, f64::max);
     for (i, &c) in cm.iter().enumerate() {

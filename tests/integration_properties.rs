@@ -9,7 +9,26 @@ use mmb_graph::{Coloring, VertexSet};
 use mmb_splitters::adversarial::AdversarialSplitter;
 use mmb_splitters::grid::GridSplitter;
 use mmb_splitters::tree::TreeSplitter;
+use mmb_splitters::Splitter;
 use proptest::prelude::*;
+
+/// One default-config solve driven by the case's own splitter.
+fn solve_with<S: Splitter + ?Sized>(
+    g: &mmb_graph::Graph,
+    costs: &[f64],
+    weights: &[f64],
+    k: usize,
+    sp: &S,
+) -> Report {
+    let inst = Instance::new(g.clone(), costs.to_vec(), weights.to_vec()).unwrap();
+    let report = Solver::for_instance(&inst)
+        .classes(k)
+        .splitter(SplitterChoice::Custom(Box::new(sp)))
+        .build()
+        .unwrap()
+        .solve();
+    report
+}
 
 fn arb_weights(n: usize) -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..20.0, n..=n)
@@ -33,8 +52,7 @@ proptest! {
         let weights: Vec<f64> = (0..n)
             .map(|v| ((seed >> (v % 53)) & 15) as f64 + 0.1)
             .collect();
-        let d = decompose(&grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
+        let d = solve_with(&grid.graph, &costs, &weights, k, &sp);
         prop_assert!(d.coloring.is_total());
         prop_assert!(
             d.coloring.is_strictly_balanced(&weights),
@@ -53,7 +71,7 @@ proptest! {
         let costs: Vec<f64> = (0..g.num_edges()).map(|e| 1.0 + (e % 3) as f64).collect();
         let sp = TreeSplitter::new(&g);
         let w = &weights[..n];
-        let d = decompose(&g, &costs, w, k, &sp, &[], &PipelineConfig::default()).unwrap();
+        let d = solve_with(&g, &costs, w, k, &sp);
         prop_assert!(d.coloring.is_strictly_balanced(w));
     }
 
@@ -68,8 +86,7 @@ proptest! {
         let costs = vec![1.0; grid.graph.num_edges()];
         let sp = AdversarialSplitter::new(n, salt);
         let weights: Vec<f64> = (0..n).map(|v| 1.0 + ((v as u64 * 2654435761) % 9) as f64).collect();
-        let d = decompose(&grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
+        let d = solve_with(&grid.graph, &costs, &weights, k, &sp);
         prop_assert!(d.coloring.is_strictly_balanced(&weights));
     }
 
@@ -108,8 +125,7 @@ proptest! {
         let costs: Vec<f64> = (0..grid.graph.num_edges()).map(|e| 1.0 + (e % 2) as f64).collect();
         let sp = GridSplitter::new(&grid, &costs);
         let weights = vec![1.0; n];
-        let d = decompose(&grid.graph, &costs, &weights, k, &sp, &[], &PipelineConfig::default())
-            .unwrap();
+        let d = solve_with(&grid.graph, &costs, &weights, k, &sp);
         let per_class: f64 = d.boundary_costs.iter().sum();
         let bichromatic: f64 = grid.graph.edge_list().iter().enumerate()
             .filter(|(_, (u, v))| d.coloring.get(*u) != d.coloring.get(*v))

@@ -15,6 +15,23 @@ fn grid_twin(side: usize, k: usize) -> GridGraph {
     GridGraph::disjoint_copies(&GridGraph::lattice(&[side, side]), k / 4)
 }
 
+/// Solve the tight instance with GridSplit on its grid twin.
+fn solve_tight(tight: &TightInstance, k: usize, sp: &GridSplitter) -> Report {
+    let inst = Instance::new(
+        tight.union.graph.clone(),
+        tight.union.costs.clone(),
+        tight.weights.clone(),
+    )
+    .unwrap();
+    let report = Solver::for_instance(&inst)
+        .classes(k)
+        .splitter(SplitterChoice::Custom(Box::new(sp)))
+        .build()
+        .unwrap()
+        .solve();
+    report
+}
+
 #[test]
 fn nobody_beats_the_certificate() {
     let side = 8;
@@ -26,17 +43,7 @@ fn nobody_beats_the_certificate() {
     assert_eq!(twin.graph.num_edges(), g.num_edges());
     let sp = GridSplitter::new(&twin, &tight.union.costs);
 
-    let ours = decompose(
-        g,
-        &tight.union.costs,
-        &tight.weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap()
-    .coloring;
+    let ours = solve_tight(&tight, k, &sp).coloring;
     let candidates = [
         ("ours", ours),
         ("lpt", lpt(g.num_vertices(), k, &tight.weights).unwrap()),
@@ -82,24 +89,15 @@ fn upper_and_lower_sandwich() {
         let twin = grid_twin(side, k);
         let g = &tight.union.graph;
         let sp = GridSplitter::new(&twin, &tight.union.costs);
-        let d = decompose(
-            g,
-            &tight.union.costs,
-            &tight.weights,
-            k,
-            &sp,
-            &[],
-            &PipelineConfig::default(),
-        )
-        .unwrap();
+        let d = solve_tight(&tight, k, &sp);
         let (avg, lb, rough) = tight.check(&d.coloring);
         assert!(rough, "strictly balanced is roughly balanced here");
         assert!(avg >= lb - 1e-9);
         let upper = bounds::theorem5(2.0, k, total_edge_norm_p(g, &tight.union.costs, 2.0), 1.0);
         assert!(
-            d.max_boundary() <= 10.0 * upper,
+            d.max_boundary <= 10.0 * upper,
             "k={k}: measured {} far above Theorem 5 bound {upper}",
-            d.max_boundary()
+            d.max_boundary
         );
     }
 }
@@ -135,18 +133,8 @@ fn small_tight_instance_from_exhaustive_base() {
     let tight = TightInstance::exhaustive(&base.graph, &costs, &weights, k);
     assert!(tight.base_separation_cost > 0.0);
     let twin = grid_twin(3, k);
-    let g = &tight.union.graph;
     let sp = GridSplitter::new(&twin, &tight.union.costs);
-    let d = decompose(
-        g,
-        &tight.union.costs,
-        &tight.weights,
-        k,
-        &sp,
-        &[],
-        &PipelineConfig::default(),
-    )
-    .unwrap();
+    let d = solve_tight(&tight, k, &sp);
     let (avg, lb, rough) = tight.check(&d.coloring);
     assert!(rough);
     assert!(avg >= lb - 1e-9, "avg {avg} < lb {lb}");
