@@ -12,14 +12,17 @@
 //! are the trait adapters.
 
 use mmb_core::api::{validate_weights, Instance, Partitioner, SolveError};
-use mmb_graph::{Coloring, VertexId};
+use mmb_core::strict::{assign_to_lightest, greedy_strict};
+use mmb_graph::{Coloring, VertexSet};
 
 /// First-fit decreasing on vertex id order: each vertex goes to the
 /// currently lightest class. Satisfies eq. (1) (the pairwise class gap
 /// never exceeds `‖w‖∞`).
 pub fn first_fit(n: usize, k: usize, weights: &[f64]) -> Result<Coloring, SolveError> {
     validate(n, k, weights)?;
-    Ok(assign_in_order(n, k, weights, (0..n as u32).collect()))
+    let mut chi = Coloring::new_uncolored(n, k);
+    assign_to_lightest(&mut chi, weights, 0..n as u32);
+    Ok(chi)
 }
 
 /// Largest processing time (LPT): vertices in decreasing weight order,
@@ -27,15 +30,7 @@ pub fn first_fit(n: usize, k: usize, weights: &[f64]) -> Result<Coloring, SolveE
 /// satisfies eq. (1).
 pub fn lpt(n: usize, k: usize, weights: &[f64]) -> Result<Coloring, SolveError> {
     validate(n, k, weights)?;
-    let mut order: Vec<VertexId> = (0..n as u32).collect();
-    // total_cmp: total order on all f64 (validation already rejects NaN,
-    // but the comparator must not be the line that enforces that).
-    order.sort_by(|&a, &b| {
-        weights[b as usize]
-            .total_cmp(&weights[a as usize])
-            .then(a.cmp(&b))
-    });
-    Ok(assign_in_order(n, k, weights, order))
+    Ok(greedy_strict(n, k, &VertexSet::full(n), weights))
 }
 
 /// Round-robin: vertex `v` gets color `v mod k`. Balanced only for flat
@@ -54,21 +49,6 @@ fn validate(n: usize, k: usize, weights: &[f64]) -> Result<(), SolveError> {
     }
     validate_weights(n, weights)?;
     Ok(())
-}
-
-fn assign_in_order(n: usize, k: usize, weights: &[f64], order: Vec<VertexId>) -> Coloring {
-    let mut out = Coloring::new_uncolored(n, k);
-    let mut load = vec![0.0f64; k];
-    for v in order {
-        // min_by is first-wins on ties, so the lowest-indexed lightest
-        // class receives the vertex — deterministic for any load vector.
-        let i = (0..k)
-            .min_by(|&a, &b| load[a].total_cmp(&load[b]))
-            .expect("k >= 1 classes");
-        out.set(v, i as u32);
-        load[i] += weights[v as usize];
-    }
-    out
 }
 
 /// [`first_fit`] as a [`Partitioner`].

@@ -62,4 +62,3 @@ pub mod greedy;
 pub mod kl;
 pub mod multilevel;
 pub mod recursive_bisection;
-pub mod rung;

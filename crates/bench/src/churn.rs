@@ -11,13 +11,13 @@
 //! `Solver::resolve_delta`). Latencies come from the service's own
 //! per-request [`ServingRecord`](mmb_service::ServingRecord)s.
 //!
-//! Every warm response is re-audited here, outside the service: the
-//! served coloring must be total and strictly balanced against an
-//! independently maintained weight mirror, and its cost must not exceed
-//! an independently computed LPT floor — the same
-//! strict-balance + cost-monotonicity gate the resilient ladder serves
-//! through, recomputed from scratch so a service-side bookkeeping bug
-//! cannot vouch for itself.
+//! Every response, cold and warm, is re-audited here, outside the
+//! service: the served coloring must be total and strictly balanced
+//! against an independently maintained weight mirror, and its cost must
+//! not exceed an independently computed LPT floor — the same
+//! strict-balance + cost-monotonicity gate every serving path goes
+//! through (`verify::gate`), recomputed from scratch so a service-side
+//! bookkeeping bug cannot vouch for itself.
 //!
 //! The emitted document (`BENCH_7.json`, schema `"mmb-bench-7"`) is
 //! checked by [`validate_churn_json`]: per-row positivity and speedup
@@ -170,6 +170,8 @@ fn run_topology(side: usize, rounds: usize) -> (ChurnRow, u64, u64) {
     // deliberately biasing the cold number downward).
     let mut cold_total = 0.0;
     let mut ticket = 0u64;
+    let mut strict_ok = true;
+    let mut monotone_ok = true;
     for round in 0..rounds {
         let mut w = weights.clone();
         let v = (splitmix(&mut seed) % n as u64) as usize;
@@ -185,6 +187,9 @@ fn run_topology(side: usize, rounds: usize) -> (ChurnRow, u64, u64) {
             .as_ref()
             .expect("cold churn solve must serve a valid grid");
         cold_total += resp.record.elapsed_millis;
+        let (strict, monotone) = audit(resp, &g, &costs, &w, CHURN_K);
+        strict_ok &= strict;
+        monotone_ok &= monotone;
         if round + 1 == rounds {
             // The last cold instance seeds the warm stream.
             ticket = served.ticket;
@@ -197,8 +202,6 @@ fn run_topology(side: usize, rounds: usize) -> (ChurnRow, u64, u64) {
     let mut warm_total = 0.0;
     let mut warm_serves = 0usize;
     let mut cold_fallbacks = 0usize;
-    let mut strict_ok = true;
-    let mut monotone_ok = true;
     for round in 0..rounds {
         let mut delta = InstanceDelta::new();
         // A couple of weight moves per round…

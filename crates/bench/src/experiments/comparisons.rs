@@ -182,11 +182,7 @@ pub fn e7(quick: bool) -> Table {
         t.row(vec![
             algo.name().into(),
             fmt(s.balance_factor),
-            if s.is_strict(inst.weights()) {
-                "yes".into()
-            } else {
-                "no".into()
-            },
+            if s.strict { "yes".into() } else { "no".into() },
             fmt(s.max_boundary),
             fmt(s.avg_boundary),
             fmt(s.millis),

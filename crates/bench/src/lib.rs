@@ -33,8 +33,9 @@ use mmb_baselines::greedy::{FirstFit, Lpt, RoundRobin};
 use mmb_baselines::multilevel::Multilevel;
 use mmb_baselines::recursive_bisection::RecursiveBisection;
 use mmb_core::api::{Instance, Partitioner, SolveError};
+use mmb_core::verify::verify_decomposition;
 use mmb_graph::measure::{norm_1, norm_inf};
-use mmb_graph::{Coloring, Graph};
+use mmb_graph::Coloring;
 
 /// The standard baseline roster every cross-partitioner sweep scores —
 /// one constructor so the corpus table and the oracle differential suite
@@ -58,41 +59,32 @@ pub struct Score {
     pub avg_boundary: f64,
     /// Strict-balance defect (≤ 0 means eq. (1) holds).
     pub strict_defect: f64,
+    /// Whether the coloring is a strictly balanced partition
+    /// ([`DecompositionReport::is_valid`](mmb_core::verify::DecompositionReport::is_valid)).
+    pub strict: bool,
     /// Max class weight / average class weight (rough-balance factor).
     pub balance_factor: f64,
     /// Wall-clock milliseconds (filled by the caller when relevant).
     pub millis: f64,
 }
 
-impl Score {
-    /// Whether eq. (1) holds up to fp tolerance.
-    pub fn is_strict(&self, weights: &[f64]) -> bool {
-        self.strict_defect <= 1e-9 * (1.0 + norm_inf(weights))
-    }
-}
-
-/// Score a coloring.
-pub fn score(g: &Graph, costs: &[f64], weights: &[f64], chi: &Coloring) -> Score {
-    let bc = chi.boundary_costs(g, costs);
-    let k = chi.k();
-    let cm = chi.class_measures(weights);
-    let avg_w = norm_1(&cm) / k as f64;
+/// Score a coloring of an [`Instance`], from one [`verify_decomposition`]
+/// pass.
+pub fn score(inst: &Instance, chi: &Coloring) -> Score {
+    let r = verify_decomposition(inst.graph(), inst.costs(), inst.weights(), chi);
+    let avg_w = norm_1(&r.class_weights) / chi.k() as f64;
     Score {
-        max_boundary: norm_inf(&bc),
-        avg_boundary: norm_1(&bc) / k as f64,
-        strict_defect: chi.strict_balance_defect(weights),
+        max_boundary: r.max_boundary,
+        avg_boundary: r.avg_boundary,
+        strict_defect: r.strict_defect,
+        strict: r.is_valid(),
         balance_factor: if avg_w > 0.0 {
-            norm_inf(&cm) / avg_w
+            norm_inf(&r.class_weights) / avg_w
         } else {
             1.0
         },
         millis: 0.0,
     }
-}
-
-/// Score a coloring of an [`Instance`] (same metrics as [`score`]).
-pub fn score_instance(inst: &Instance, chi: &Coloring) -> Score {
-    score(inst.graph(), inst.costs(), inst.weights(), chi)
 }
 
 /// Run a [`Partitioner`] on an instance, returning the coloring and its
@@ -105,7 +97,7 @@ pub fn run_scored(
 ) -> Result<(Coloring, Score), SolveError> {
     let (chi, millis) = timed(|| algo.partition(inst, k));
     let chi = chi?;
-    let mut s = score_instance(inst, &chi);
+    let mut s = score(inst, &chi);
     s.millis = millis;
     Ok((chi, s))
 }
@@ -131,5 +123,23 @@ pub fn fmt(x: f64) -> String {
         format!("{x:.0}")
     } else {
         format!("{x:.2}")
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mmb_graph::gen::misc::path;
+
+    #[test]
+    fn score_is_not_strict_at_twice_the_slack_at_any_weight_scale() {
+        // Classes {0,1,2} | {3} deviate from the average by twice the
+        // slack of eq. (1); an absolute tolerance floor would call the
+        // 1e-12 case strict.
+        let chi = Coloring::from_vec(2, vec![0, 0, 0, 1]);
+        for s in [1.0, 1e-6, 1e-12] {
+            let inst = Instance::new(path(4), vec![1.0; 3], vec![s; 4]).unwrap();
+            assert!(!score(&inst, &chi).strict, "scale {s}");
+        }
     }
 }

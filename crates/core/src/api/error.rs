@@ -145,11 +145,12 @@ pub enum SolveError {
         limit: usize,
     },
     /// A retryable failure: injected by an armed
-    /// [`failpoint`](crate::failpoint) schedule, or reported by a rung
-    /// adapter for a condition expected to clear on retry. The resilient
-    /// ladder retries these (bounded, with backoff) before degrading.
+    /// [`failpoint`](crate::failpoint) schedule, or returned by a custom
+    /// rung's [`Partitioner`](crate::api::Partitioner) for a condition
+    /// expected to clear on retry. The resilient ladder retries these
+    /// (bounded, with backoff) before degrading.
     Transient {
-        /// The failpoint site (or adapter) that raised it.
+        /// The failpoint site (or partitioner) that raised it.
         site: &'static str,
     },
     /// A panic caught at an isolation boundary ([`solve_many`]'s
@@ -162,13 +163,6 @@ pub enum SolveError {
         context: &'static str,
         /// The rendered panic payload.
         message: String,
-    },
-    /// A rung adapter rejected its inner partitioner's output because it
-    /// violates strict balance (eq. (1)) — the output exists but must not
-    /// be served.
-    NotStrict {
-        /// The strict-balance defect (positive ⟺ eq. (1) violated).
-        defect: f64,
     },
     /// A warm-start input does not fit this solver: `resolve_delta` was
     /// given a previous coloring whose class count or vertex count does
@@ -192,8 +186,6 @@ impl_error_display!(SolveError {
         "transient failure at `{site}`; safe to retry",
     SolveError::Panicked { context, message } =>
         "panic caught at the `{context}` isolation boundary: {message}",
-    SolveError::NotStrict { defect } =>
-        "output violates strict balance (eq. (1)) by {defect}; refusing to serve it",
     SolveError::WarmStartMismatch { what } =>
         "warm-start coloring does not match the solver's instance (mismatched {what})",
 });

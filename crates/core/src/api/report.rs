@@ -7,11 +7,12 @@
 //! measured/bound ratio, and the intermediate stage colorings for
 //! ablation experiments (E8).
 
-use mmb_graph::measure::{norm_1, norm_inf};
 use mmb_graph::Coloring;
 
+use crate::api::instance::Instance;
 use crate::bounds;
 use crate::lower_bounds::CertifiedGap;
+use crate::verify::verify_decomposition;
 
 /// One row of the per-class table: `(class, weight, boundary cost)`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -91,50 +92,61 @@ pub struct Report {
 }
 
 impl Report {
-    #[allow(
-        clippy::too_many_arguments,
-        reason = "internal assembly of the full report row"
-    )]
+    /// Assemble the report of a solve of `inst` whose stages produced
+    /// `stage1 → stage2 → stage3` (the served coloring).
     pub(crate) fn assemble(
-        g: &mmb_graph::Graph,
-        costs: &[f64],
-        weights: &[f64],
-        w_max: f64,
-        c_max: f64,
+        inst: &Instance,
         c_norm_p: f64,
-        k: usize,
         p: f64,
         splitter: String,
         stage1: Coloring,
         stage2: Coloring,
         stage3: Coloring,
     ) -> Self {
-        let boundary_costs = stage3.boundary_costs(g, costs);
-        let class_weights = stage3.class_measures(weights);
-        let max_boundary = norm_inf(&boundary_costs);
-        let bound = bounds::theorem5(p, k, c_norm_p, c_max);
-        Report {
-            class_weights,
-            strict_defect: stage3.strict_balance_defect(weights),
-            strict_slack: bounds::strict_slack(k, w_max),
-            max_boundary,
-            avg_boundary: norm_1(&boundary_costs) / k as f64,
-            bound,
-            bound_ratio: max_boundary / bound.max(1e-300),
+        let k = stage3.k();
+        // The quality fields are placeholders until `set_coloring` fills
+        // them from the final coloring.
+        let mut report = Report {
+            coloring: Coloring::new_uncolored(0, k),
+            class_weights: Vec::new(),
+            boundary_costs: Vec::new(),
+            strict_defect: 0.0,
+            strict_slack: 0.0,
+            max_boundary: 0.0,
+            avg_boundary: 0.0,
+            bound: bounds::theorem5(p, k, c_norm_p, inst.max_cost()),
+            bound_ratio: 0.0,
             splitter,
             k,
             p,
-            strict: stage3.is_strictly_balanced(weights),
+            strict: false,
             stages: StageReport {
                 multibalanced: stage1,
                 almost_strict: stage2,
             },
-            boundary_costs,
-            coloring: stage3,
             stage_millis: [0.0; 3],
             certified: None,
             resilience: None,
-        }
+        };
+        report.set_coloring(inst, stage3);
+        report
+    }
+
+    /// Make `chi` the served coloring and refresh every quality field
+    /// derived from it, from one [`verify_decomposition`] pass. The stages
+    /// keep their intermediates (they are what the ablation experiments
+    /// want).
+    pub(crate) fn set_coloring(&mut self, inst: &Instance, chi: Coloring) {
+        let r = verify_decomposition(inst.graph(), inst.costs(), inst.weights(), &chi);
+        self.class_weights = r.class_weights;
+        self.boundary_costs = r.boundary_costs;
+        self.strict_defect = r.strict_defect;
+        self.strict_slack = r.strict_slack;
+        self.max_boundary = r.max_boundary;
+        self.avg_boundary = r.avg_boundary;
+        self.bound_ratio = r.max_boundary / self.bound.max(1e-300);
+        self.strict = r.strictly_balanced;
+        self.coloring = chi;
     }
 
     /// Whether eq. (1) holds — the cached verdict of

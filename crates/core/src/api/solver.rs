@@ -49,7 +49,8 @@ use crate::multibalance::multibalance_minmax_with_pi_ws;
 use crate::pi::splitting_cost_measure_within;
 use crate::pipeline::{PipelineConfig, ScratchPolicy};
 use crate::shrink::{almost_strict_ws, ShrinkParams};
-use crate::strict::binpack2;
+use crate::strict::{assign_to_lightest, binpack2};
+use crate::verify;
 
 /// Which splitter family drives the pipeline.
 ///
@@ -367,13 +368,8 @@ impl<'i> Solver<'i> {
         debug_assert!(stage3.is_total(), "pipeline must color every vertex");
 
         let mut report = Report::assemble(
-            g,
-            costs,
-            weights,
-            inst.max_weight(),
-            inst.max_cost(),
+            inst,
             self.c_norm_p,
-            self.k,
             self.cfg.p,
             self.splitter.name().to_owned(),
             stage1.coloring,
@@ -465,13 +461,8 @@ impl<'i> Solver<'i> {
         debug_assert!(stage3.is_total(), "cascade must color every vertex");
 
         let mut report = Report::assemble(
-            g,
-            costs,
-            weights,
-            inst.max_weight(),
-            inst.max_cost(),
+            inst,
             self.c_norm_p,
-            self.k,
             self.cfg.p,
             self.splitter.name().to_owned(),
             stage1,
@@ -515,8 +506,6 @@ impl<'i> Solver<'i> {
     /// coloring is the proven optimum), the root certifier-stack gap
     /// when it was truncated.
     pub fn solve_anytime(&self, cfg: &crate::bnb::BnbConfig) -> Report {
-        use mmb_graph::measure::{norm_1, norm_inf};
-
         let mut report = self.solve();
         let sol =
             crate::bnb::solve_seeded(self.inst, self.k, cfg, Some(&report.coloring), &mut |_| {
@@ -524,19 +513,8 @@ impl<'i> Solver<'i> {
             })
             .expect("k ≥ 1 was checked at build time");
         if sol.max_boundary < report.max_boundary {
-            // The search improved on the pipeline: refresh every field
-            // derived from the final coloring (stages keep the pipeline's
-            // intermediates — they are what the ablation experiments
-            // want).
-            let (g, costs, weights) = (self.inst.graph(), self.inst.costs(), self.inst.weights());
-            report.boundary_costs = sol.coloring.boundary_costs(g, costs);
-            report.class_weights = sol.coloring.class_measures(weights);
-            report.strict_defect = sol.coloring.strict_balance_defect(weights);
-            report.max_boundary = norm_inf(&report.boundary_costs);
-            report.avg_boundary = norm_1(&report.boundary_costs) / self.k as f64;
-            report.bound_ratio = report.max_boundary / report.bound.max(1e-300);
-            report.strict = sol.coloring.is_strictly_balanced(weights);
-            report.coloring = sol.coloring;
+            // The search improved on the pipeline.
+            report.set_coloring(self.inst, sol.coloring);
         }
         report.certified = Some(sol.gap);
         report
@@ -552,12 +530,13 @@ impl<'i> Solver<'i> {
     /// greedy-assign any appended vertices to the lightest class,
     /// KL-repair the touched closure ([`refine_region`]), and restore
     /// eq. (1) with a `BinPack2` pass only if the mutation broke strict
-    /// balance. The candidate then faces **the same validation gate the
-    /// resilient ladder serves through** — total, strictly balanced, no
-    /// worse than the LPT floor — and on rejection the whole thing falls
-    /// back to a cold [`SplitterChoice::Auto`] solve of the mutated
-    /// instance (`DeltaSolve::warm` reports which path produced the
-    /// served coloring). Either way, the returned coloring passed the
+    /// balance. The candidate then faces **the same gate the resilient
+    /// ladder serves through** ([`verify::gate`]: total, strictly
+    /// balanced, no worse than [`verify::lpt_floor`]) and on rejection
+    /// the whole thing falls back to a cold [`SplitterChoice::Auto`]
+    /// solve of the mutated instance, itself gated, with the floor as
+    /// the last resort (`DeltaSolve::warm` reports which path produced
+    /// the served coloring). Either way, the returned coloring passed the
     /// gate: warm serving never trades away the strict-balance contract.
     ///
     /// Errors: [`SolveError::WarmStartMismatch`] when `previous` does not
@@ -594,19 +573,7 @@ impl<'i> Solver<'i> {
         // Appended (and any previously uncolored) vertices go to the
         // lightest class — the same greedy that makes the ladder's floor
         // rungs strict in any order.
-        let mut loads = chi.class_measures(weights);
-        for v in 0..inst2.num_vertices() as u32 {
-            if chi.get(v).is_none() {
-                let lightest = loads
-                    .iter()
-                    .enumerate()
-                    .min_by(|(_, a), (_, b)| a.total_cmp(b))
-                    .map(|(c, _)| c)
-                    .unwrap_or(0);
-                chi.set(v, lightest as u32);
-                loads[lightest] += weights[v as usize];
-            }
-        }
+        assign_to_lightest(&mut chi, weights, 0..inst2.num_vertices() as u32);
         // KL repair, scoped to the touched closure, then one full-graph
         // sweep: the regional pass soaks up the local damage cheaply, and
         // the global pass lets repairs propagate past the closure when a
@@ -614,40 +581,32 @@ impl<'i> Solver<'i> {
         // a cold solve — no recognition, no Prop 7/11/12 stages).
         let params = crate::refine::KlParams::default();
         let chi = crate::refine::refine_region(g, costs, weights, &chi, &touched, &params)?;
-        let mut chi = crate::refine::refine(g, costs, weights, &chi, &params)?;
+        let chi = crate::refine::refine(g, costs, weights, &chi, &params)?;
         // The mutation (or the repair's balance envelope, which is looser
         // than eq. (1)) may have broken strict balance; restore it with
         // the Proposition 12 pass. `OrderSplitter::by_id` needs no
         // structure recognition and is always available.
-        if !chi.is_strictly_balanced(weights) {
-            let splitter = OrderSplitter::by_id(g);
-            chi = binpack2(g, &splitter, &chi, inst2.domain(), weights);
-        }
+        let restore_strict = |chi: Coloring| {
+            if chi.is_strictly_balanced(weights) {
+                chi
+            } else {
+                binpack2(g, &OrderSplitter::by_id(g), &chi, inst2.domain(), weights)
+            }
+        };
+        let chi = restore_strict(chi);
 
         // Second warm candidate: a full KL sweep seeded from the LPT
         // rung instead of the incumbent. When a mutation moves the
         // balance landscape enough that the incumbent's basin is no
         // longer the good one, this restart escapes it — still without
         // touching the pipeline.
-        let lpt = crate::resilient::ladder::lpt_coloring(&inst2, self.k);
-        let floor_cost = lpt.max_boundary_cost(g, costs);
-        let mut restart = crate::refine::refine(g, costs, weights, &lpt, &params)?;
-        if !restart.is_strictly_balanced(weights) {
-            let splitter = OrderSplitter::by_id(g);
-            restart = binpack2(g, &splitter, &restart, inst2.domain(), weights);
-        }
+        let (lpt, floor_cost) = verify::lpt_floor(&inst2, self.k);
+        let restart = restore_strict(crate::refine::refine(g, costs, weights, &lpt, &params)?);
 
         // The same gate the resilient ladder serves through; of the
         // candidates that pass it, serve the cheapest.
-        let warm_best = [chi, restart]
-            .into_iter()
-            .filter_map(|cand| {
-                crate::resilient::ladder::validate(&inst2, &cand, floor_cost)
-                    .ok()
-                    .map(|cost| (cand, cost))
-            })
-            .min_by(|(_, a), (_, b)| a.total_cmp(b));
-        if let Some((coloring, cost)) = warm_best {
+        if let Some((coloring, cost)) = verify::cheapest_passing(&inst2, [chi, restart], floor_cost)
+        {
             return Ok(DeltaSolve {
                 coloring,
                 max_boundary: cost,
@@ -668,10 +627,8 @@ impl<'i> Solver<'i> {
             .build()?
             .solve();
         let (coloring, max_boundary) =
-            match crate::resilient::ladder::validate(&inst2, &report.coloring, floor_cost) {
-                Ok(cost) => (report.coloring, cost),
-                Err(_) => (lpt, floor_cost),
-            };
+            verify::cheapest_passing(&inst2, [report.coloring], floor_cost)
+                .unwrap_or((lpt, floor_cost));
         Ok(DeltaSolve {
             coloring,
             max_boundary,
@@ -716,8 +673,8 @@ impl<'i> Solver<'i> {
 /// The outcome of a [`Solver::resolve_delta`] warm re-solve.
 ///
 /// Owns the mutated [`Instance`] (build the next solver — or apply the
-/// next delta — against it) and the served coloring, which passed the
-/// ladder's validation gate on whichever path (`warm`) produced it.
+/// next delta — against it) and the served coloring, which passed
+/// [`verify::gate`] on whichever path (`warm`) produced it.
 #[derive(Debug)]
 pub struct DeltaSolve {
     /// The mutated instance the coloring is for.

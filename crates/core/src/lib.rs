@@ -61,7 +61,10 @@
 //! ## Guarantees, exactly and empirically
 //!
 //! Strict balance is *enforced by construction* and checked by
-//! [`verify::verify_decomposition`]. The boundary-cost guarantee is
+//! [`verify::verify_decomposition`]; what any serving path may return is
+//! decided by one gate, [`verify::gate`] (total, strictly balanced, no
+//! worse than the LPT greedy of [`verify::lpt_floor`]). The boundary-cost
+//! guarantee is
 //! asymptotic; [`bounds`] computes the theorems' right-hand sides so tests
 //! and benchmarks can report measured/bound ratios (experiments E1–E12 in
 //! `DESIGN.md`). In the other direction, [`lower_bounds`] certifies

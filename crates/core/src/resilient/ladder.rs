@@ -1,21 +1,17 @@
-//! The rungs of the degradation ladder and the validation gate every
-//! rung's output must pass before it is served.
+//! The rung names of the degradation ladder and its locality-aware greedy
+//! rung.
 //!
-//! The two bottom rungs are implemented *here*, self-contained, rather
-//! than borrowed from `mmb-baselines`: that crate depends on `mmb-core`,
-//! so the ladder's floor cannot live there without a dependency cycle —
-//! and the floor must be dependency-free anyway, because it is the code
-//! path that still has to work when everything richer has failed. Both
-//! greedies assign each vertex to the currently lightest class, which
-//! yields strict balance (eq. (1)) *in any insertion order*: when the
-//! heaviest-loaded class received its last vertex it was the lightest, so
-//! `max − min ≤ ‖w‖_∞`, and averaging gives
-//! `max − avg ≤ (1 − 1/k)·(max − min) ≤ (1 − 1/k)·‖w‖_∞`.
+//! The two bottom rungs are greedy-lightest assignments
+//! ([`assign_to_lightest`]), strictly balanced in any insertion order:
+//! **first-fit** walks the vertex ids, the **trivial** floor is the LPT
+//! greedy of [`verify::lpt_floor`](crate::verify::lpt_floor). Every rung's
+//! output, these included, is served only through
+//! [`verify::gate`](crate::verify::gate).
 
 use mmb_graph::Coloring;
 
 use crate::api::instance::Instance;
-use crate::resilient::record::RejectReason;
+use crate::strict::assign_to_lightest;
 
 /// The names of the built-in rungs, in ladder order.
 pub(crate) const RUNG_CERTIFIED: &str = "certified";
@@ -23,84 +19,21 @@ pub(crate) const RUNG_PIPELINE: &str = "pipeline";
 pub(crate) const RUNG_FIRST_FIT: &str = "first-fit";
 pub(crate) const RUNG_TRIVIAL: &str = "trivial";
 
-/// Greedy-lightest in a caller-chosen vertex order. Strictly balanced in
-/// any order (see the module docs); first-wins tie-break by class index
-/// via `total_cmp`, so the result is deterministic bit for bit.
-fn greedy_lightest(inst: &Instance, k: usize, order: &[u32]) -> Coloring {
-    let weights = inst.weights();
-    let mut loads = vec![0.0f64; k];
-    let mut chi = Coloring::new_uncolored(inst.num_vertices(), k);
-    for &v in order {
-        let lightest = loads
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(c, _)| c)
-            .unwrap_or(0);
-        loads[lightest] += weights[v as usize];
-        chi.set(v, lightest as u32);
-    }
-    chi
-}
-
-/// The trivial floor rung: LPT (longest-processing-time) greedy —
-/// vertices in descending weight order, each into the lightest class.
-/// Pure arithmetic over validated inputs, no splitter, no workspace, no
-/// recursion: panic-free by construction, and the quality floor every
-/// higher rung is validated against.
-pub(crate) fn lpt_coloring(inst: &Instance, k: usize) -> Coloring {
-    let weights = inst.weights();
-    let mut order: Vec<u32> = (0..inst.num_vertices() as u32).collect();
-    order.sort_by(|&a, &b| {
-        weights[b as usize]
-            .total_cmp(&weights[a as usize])
-            .then(a.cmp(&b))
-    });
-    greedy_lightest(inst, k, &order)
-}
-
 /// The cheap strict baseline rung: first-fit greedy in vertex-id order.
 /// Same balance guarantee as LPT; id order preserves whatever locality
 /// the instance's vertex numbering carries (row-major grids, path walks),
 /// so its boundary cost is usually far below the weight-sorted LPT's.
 pub(crate) fn first_fit_coloring(inst: &Instance, k: usize) -> Coloring {
-    let order: Vec<u32> = (0..inst.num_vertices() as u32).collect();
-    greedy_lightest(inst, k, &order)
-}
-
-/// The validation gate: a rung's coloring is servable iff it is total,
-/// strictly balanced, and no worse than the floor rung's cost (monotone
-/// degradation — a rung must never serve worse than the rung below it).
-/// Returns the coloring's max boundary cost on success.
-pub(crate) fn validate(
-    inst: &Instance,
-    chi: &Coloring,
-    floor_cost: f64,
-) -> Result<f64, RejectReason> {
-    if !chi.is_total() {
-        return Err(RejectReason::NotTotal);
-    }
-    let weights = inst.weights();
-    if !chi.is_strictly_balanced(weights) {
-        return Err(RejectReason::NotStrict {
-            defect: chi.strict_balance_defect(weights),
-        });
-    }
-    let cost = chi.max_boundary_cost(inst.graph(), inst.costs());
-    // Scale-invariant tolerance, same shape as the strict-balance check.
-    let tol = 1e-9 * floor_cost.max(1e-300);
-    if cost > floor_cost + tol {
-        return Err(RejectReason::WorseThanFloor {
-            cost,
-            floor: floor_cost,
-        });
-    }
-    Ok(cost)
+    let n = inst.num_vertices();
+    let mut chi = Coloring::new_uncolored(n, k);
+    assign_to_lightest(&mut chi, inst.weights(), 0..n as u32);
+    chi
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::lpt_floor;
     use mmb_graph::gen::misc::path;
 
     fn inst_with_weights(n: usize, weights: Vec<f64>) -> Instance {
@@ -119,7 +52,7 @@ mod tests {
         ] {
             let inst = inst_with_weights(17, weights);
             for k in [1, 2, 3, 5] {
-                for chi in [lpt_coloring(&inst, k), first_fit_coloring(&inst, k)] {
+                for chi in [lpt_floor(&inst, k).0, first_fit_coloring(&inst, k)] {
                     assert!(chi.is_total());
                     assert!(
                         chi.is_strictly_balanced(inst.weights()),
@@ -137,42 +70,7 @@ mod tests {
         // edges where weight-sorted LPT shreds the locality.
         let inst = inst_with_weights(32, vec![1.0; 32]);
         let ff = first_fit_coloring(&inst, 4).max_boundary_cost(inst.graph(), inst.costs());
-        let lpt = lpt_coloring(&inst, 4).max_boundary_cost(inst.graph(), inst.costs());
+        let lpt = lpt_floor(&inst, 4).1;
         assert!(ff <= lpt, "first-fit {ff} vs lpt {lpt}");
-    }
-
-    #[test]
-    fn validation_rejects_each_defect_class() {
-        let inst = inst_with_weights(8, vec![1.0; 8]);
-        let floor = lpt_coloring(&inst, 2);
-        let floor_cost = floor.max_boundary_cost(inst.graph(), inst.costs());
-
-        let partial = Coloring::new_uncolored(8, 2);
-        assert_eq!(
-            validate(&inst, &partial, floor_cost),
-            Err(RejectReason::NotTotal)
-        );
-
-        // Everything in one class: total but grossly unbalanced.
-        let lopsided = Coloring::from_fn(8, 2, |_| 0);
-        assert!(matches!(
-            validate(&inst, &lopsided, floor_cost),
-            Err(RejectReason::NotStrict { defect }) if defect > 0.0
-        ));
-
-        // Alternating colors cut every edge; against a floor of cost 1
-        // (what a contiguous bisection achieves) that is a monotonicity
-        // violation. (The real LPT floor on *unit* weights alternates
-        // too — ties break by id — so a synthetic floor is needed to
-        // exercise this arm.)
-        let shredded = Coloring::from_fn(8, 2, |v| v % 2);
-        assert!(matches!(
-            validate(&inst, &shredded, 1.0),
-            Err(RejectReason::WorseThanFloor { cost, floor })
-                if cost > floor
-        ));
-
-        // The floor itself always passes.
-        assert_eq!(validate(&inst, &floor, floor_cost), Ok(floor_cost));
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! Each rung runs inside a `catch_unwind` boundary with a slice of the
 //! per-call [`DeadlineBudget`]; a rung that panics, errors, blows its
-//! slice, or produces an output that fails validation (not total, not
-//! strictly balanced, or worse than the floor) is recorded and the
+//! slice, or produces an output that fails [`verify::gate`] (not total,
+//! not strictly balanced, or worse than the floor) is recorded and the
 //! ladder falls through to the next rung. Transient failures
 //! ([`SolveError::Transient`]) are retried under the bounded
 //! [`RetryPolicy`] before the rung is declared failed. The outcome of
@@ -53,8 +53,9 @@ mod budget;
 pub(crate) mod ladder;
 mod record;
 
+pub use crate::verify::RejectReason;
 pub use budget::{DeadlineBudget, RetryPolicy};
-pub use record::{RejectReason, Resilience, RungAttempt, RungOutcome, SkipReason};
+pub use record::{Resilience, RungAttempt, RungOutcome, SkipReason};
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Duration;
@@ -69,6 +70,7 @@ use crate::api::solver::{auto_splitter, Solver, SplitterChoice};
 use crate::bnb::BnbConfig;
 use crate::failpoint::{self, FailpointSplitter};
 use crate::pipeline::PipelineConfig;
+use crate::verify;
 
 use budget::BudgetClock;
 use ladder::{RUNG_CERTIFIED, RUNG_FIRST_FIT, RUNG_PIPELINE, RUNG_TRIVIAL};
@@ -187,15 +189,6 @@ impl<'i> ResilientBuilder<'i> {
     }
 }
 
-/// What a rung produced on one try, before validation.
-enum RungProduct {
-    /// A full report (solver rungs).
-    Report(Box<Report>),
-    /// A bare coloring (custom and greedy rungs); the report is
-    /// assembled only if it validates.
-    Coloring(Coloring),
-}
-
 /// The degradation-ladder solver: build once, [`solve`](Self::solve) many
 /// times; every solve returns a valid strictly balanced coloring with a
 /// [`Resilience`] record, no matter what fails above the floor. See the
@@ -249,24 +242,21 @@ impl<'i> ResilientSolver<'i> {
     }
 
     /// Run one rung once (inside the caller's unwind boundary).
-    fn run_rung(&self, rung: usize, clock: &BudgetClock) -> Result<RungProduct, SolveError> {
+    fn run_rung(&self, rung: usize, name: &str, clock: &BudgetClock) -> Result<Report, SolveError> {
         match rung {
             0 => {
                 let mut bnb = self.cfg.bnb;
                 if let Some(slice) = clock.slice(self.cfg.budget.certified_share) {
                     bnb.time_budget = Some(bnb.time_budget.map_or(slice, |t| t.min(slice)));
                 }
-                let solver = self.inner_solver()?;
-                Ok(RungProduct::Report(Box::new(solver.solve_anytime(&bnb))))
+                Ok(self.inner_solver()?.solve_anytime(&bnb))
             }
-            1 => {
-                let solver = self.inner_solver()?;
-                Ok(RungProduct::Report(Box::new(solver.solve())))
+            1 => Ok(self.inner_solver()?.solve()),
+            i if i - 2 < self.custom.len() => {
+                let chi = self.custom[i - 2].1.partition(self.inst, self.k)?;
+                Ok(self.assemble(name, chi))
             }
-            i => {
-                let (_, p) = &self.custom[i - 2];
-                Ok(RungProduct::Coloring(p.partition(self.inst, self.k)?))
-            }
+            _ => Ok(self.assemble(name, ladder::first_fit_coloring(self.inst, self.k))),
         }
     }
 
@@ -274,16 +264,12 @@ impl<'i> ResilientSolver<'i> {
     /// rungs): all three stage slots carry the same coloring, the
     /// splitter slot names the rung.
     fn assemble(&self, rung: &str, chi: Coloring) -> Report {
-        let inst = self.inst;
+        let p = self.pipeline.p;
+        let c_norm_p = self.inst.cost_norm(p);
         Report::assemble(
-            inst.graph(),
-            inst.costs(),
-            inst.weights(),
-            inst.max_weight(),
-            inst.max_cost(),
-            inst.cost_norm(self.pipeline.p),
-            self.k,
-            self.pipeline.p,
+            self.inst,
+            c_norm_p,
+            p,
             rung.to_owned(),
             chi.clone(),
             chi.clone(),
@@ -299,10 +285,9 @@ impl<'i> ResilientSolver<'i> {
         let clock = BudgetClock::start(self.cfg.budget.total);
         let faults_before = failpoint::injection_count();
 
-        // The floor is computed up front: it is the validation reference
-        // for every rung and the answer of last resort.
-        let floor_chi = ladder::lpt_coloring(self.inst, self.k);
-        let floor_cost = floor_chi.max_boundary_cost(self.inst.graph(), self.inst.costs());
+        // The floor is computed up front: it is the gate's reference for
+        // every rung and the answer of last resort.
+        let (floor_chi, floor_cost) = verify::lpt_floor(self.inst, self.k);
 
         let mut attempts: Vec<RungAttempt> = Vec::new();
         let rung_count = 2 + self.custom.len() + 1; // certified, pipeline, custom…, first-fit
@@ -336,51 +321,33 @@ impl<'i> ResilientSolver<'i> {
             let mut tries = 0u32;
             let outcome = loop {
                 tries += 1;
-                let is_first_fit = rung_idx == rung_count - 1;
                 #[expect(
                     clippy::disallowed_methods,
                     reason = "the rung boundary of the degradation ladder: a panicking rung must degrade the answer, not take down the serve path. All state the closure touches is rebuilt per try (solver, splitter, scratch epochs roll back via Drop), so observing it after an unwind is sound"
                 )]
-                let product = if is_first_fit {
-                    // The greedy rung is pure; run it directly (still
-                    // validated like everything else).
-                    Ok(Ok(RungProduct::Coloring(ladder::first_fit_coloring(
-                        self.inst, self.k,
-                    ))))
-                } else {
-                    catch_unwind(AssertUnwindSafe(|| self.run_rung(rung_idx, &clock)))
-                };
+                let product =
+                    catch_unwind(AssertUnwindSafe(|| self.run_rung(rung_idx, &name, &clock)));
                 match product {
-                    Ok(Ok(product)) => {
-                        let chi = match &product {
-                            RungProduct::Report(r) => &r.coloring,
-                            RungProduct::Coloring(c) => c,
-                        };
-                        match ladder::validate(self.inst, chi, floor_cost) {
-                            Ok(_cost) => {
-                                let report = match product {
-                                    RungProduct::Report(r) => *r,
-                                    RungProduct::Coloring(c) => self.assemble(&name, c),
-                                };
-                                attempts.push(RungAttempt {
-                                    rung: name.clone(),
-                                    tries,
-                                    outcome: RungOutcome::Served,
-                                    millis: (clock.elapsed() - rung_start).as_secs_f64() * 1e3,
-                                });
-                                return self.finish(
-                                    report_with_gap(self.inst, self.k, report),
-                                    name,
-                                    rung_idx,
-                                    attempts,
-                                    &clock,
-                                    floor_cost,
-                                    faults_before,
-                                );
-                            }
-                            Err(reason) => break RungOutcome::Rejected(reason),
+                    Ok(Ok(report)) => match verify::gate(self.inst, &report.coloring, floor_cost) {
+                        Ok(_cost) => {
+                            attempts.push(RungAttempt {
+                                rung: name.clone(),
+                                tries,
+                                outcome: RungOutcome::Served,
+                                millis: (clock.elapsed() - rung_start).as_secs_f64() * 1e3,
+                            });
+                            return self.finish(
+                                report_with_gap(self.inst, self.k, report),
+                                name,
+                                rung_idx,
+                                attempts,
+                                &clock,
+                                floor_cost,
+                                faults_before,
+                            );
                         }
-                    }
+                        Err(reason) => break RungOutcome::Rejected(reason),
+                    },
                     Ok(Err(SolveError::Transient { .. }))
                         if tries <= self.cfg.retry.max_retries =>
                     {
@@ -410,7 +377,7 @@ impl<'i> ResilientSolver<'i> {
             });
         }
 
-        // The floor: precomputed, validated by construction, never skipped.
+        // The floor: precomputed, strict by construction, never skipped.
         attempts.push(RungAttempt {
             rung: RUNG_TRIVIAL.to_owned(),
             tries: 1,

@@ -7,6 +7,8 @@
 //! every earlier rung explains itself, the floor cost bounds the served
 //! cost), and operators read it to answer "why did this request degrade?".
 
+use crate::verify::RejectReason;
+
 /// Why a rung was skipped without being attempted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum SkipReason {
@@ -16,26 +18,6 @@ pub enum SkipReason {
     /// The deadline budget was already exhausted when the ladder reached
     /// this rung; only the trivial floor rung runs past the deadline.
     DeadlineExhausted,
-}
-
-/// Why a rung's *output* was refused even though it ran to completion.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum RejectReason {
-    /// The coloring left vertices uncolored.
-    NotTotal,
-    /// The coloring violates strict balance (eq. (1)).
-    NotStrict {
-        /// The strict-balance defect (positive ⟺ violated).
-        defect: f64,
-    },
-    /// The coloring is valid but worse than the trivial floor rung —
-    /// serving it would break monotone degradation.
-    WorseThanFloor {
-        /// The rung's max boundary cost.
-        cost: f64,
-        /// The floor rung's max boundary cost.
-        floor: f64,
-    },
 }
 
 /// What happened to one rung of the ladder.
@@ -51,7 +33,8 @@ pub enum RungOutcome {
     /// The rung panicked and the unwind was caught at the rung boundary;
     /// the message is the rendered payload.
     Panicked(String),
-    /// The rung completed but its output failed validation.
+    /// The rung completed but its output failed
+    /// [`verify::gate`](crate::verify::gate).
     Rejected(RejectReason),
 }
 
@@ -89,8 +72,9 @@ pub struct Resilience {
     pub budget_millis: Option<f64>,
     /// Total wall-clock milliseconds of the resilient solve.
     pub elapsed_millis: f64,
-    /// The trivial floor rung's max boundary cost — the monotonicity
-    /// floor every served answer is validated against.
+    /// The trivial floor rung's max boundary cost
+    /// ([`verify::lpt_floor`](crate::verify::lpt_floor)) — the
+    /// monotonicity floor every served answer is gated against.
     pub floor_cost: f64,
     /// Faults injected by an armed [`failpoint`](crate::failpoint)
     /// schedule during this solve (0 in production, where nothing is

@@ -116,9 +116,37 @@ where
     (classes, buffer)
 }
 
-/// Largest-first greedy assignment: vertices in decreasing weight order,
-/// each to the currently lightest class. Satisfies eq. (1) for every input
-/// (the pairwise class gap never exceeds `‖w‖∞`).
+/// Greedy-lightest: give each still-uncolored vertex of `order`, in turn,
+/// to the currently lightest class of `chi`, starting from `chi`'s own
+/// class loads. Ties go to the lowest class index (`min_by` is
+/// first-wins under `total_cmp`), so the result is deterministic bit for
+/// bit; already colored vertices of `order` are skipped.
+///
+/// Starting from an empty coloring the result satisfies eq. (1) in *any*
+/// order: when the heaviest class received its last vertex it was the
+/// lightest, so `max − min ≤ ‖w‖∞`, and averaging gives
+/// `max − avg ≤ (1 − 1/k)·(max − min) ≤ (1 − 1/k)·‖w‖∞`.
+pub fn assign_to_lightest(
+    chi: &mut Coloring,
+    weights: &[f64],
+    order: impl IntoIterator<Item = VertexId>,
+) {
+    let mut loads = chi.class_measures(weights);
+    for v in order {
+        if chi.get(v).is_some() {
+            continue;
+        }
+        let lightest = (0..loads.len())
+            .min_by(|&a, &b| loads[a].total_cmp(&loads[b]))
+            .unwrap_or(0);
+        chi.set(v, lightest as u32);
+        loads[lightest] += weights[v as usize];
+    }
+}
+
+/// Largest-first (LPT) greedy assignment of `domain`: vertices in
+/// decreasing weight order (ties by id), each to the currently lightest
+/// class via [`assign_to_lightest`]. Satisfies eq. (1) for every input.
 pub fn greedy_strict(n: usize, k: usize, domain: &VertexSet, weights: &[f64]) -> Coloring {
     let mut order: Vec<VertexId> = domain.iter().collect();
     // `total_cmp`, not `partial_cmp(..).unwrap()`: instance validation
@@ -132,14 +160,7 @@ pub fn greedy_strict(n: usize, k: usize, domain: &VertexSet, weights: &[f64]) ->
             .then(a.cmp(&b))
     });
     let mut out = Coloring::new_uncolored(n, k);
-    let mut load = vec![0.0f64; k];
-    for v in order {
-        let i = (0..k)
-            .min_by(|&a, &b| load[a].total_cmp(&load[b]))
-            .expect("k >= 1 classes");
-        out.set(v, i as u32);
-        load[i] += weights[v as usize];
-    }
+    assign_to_lightest(&mut out, weights, order);
     out
 }
 

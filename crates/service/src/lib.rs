@@ -16,7 +16,12 @@
 //!   previously served response. The service re-seeds the pipeline from
 //!   the incumbent coloring (`Solver::resolve_delta`): KL repair on the
 //!   touched region, a strict re-pack only if eq. (1) broke, and the
-//!   resilient ladder's validation gate before anything is served.
+//!   serving gate before anything is served.
+//!
+//! Both paths serve through `mmb-core`'s one gate (`verify::gate`):
+//! a served coloring is total, strictly balanced (eq. (1)) and no worse
+//! than the LPT floor (`verify::lpt_floor`). A cold solve the floor
+//! beats is answered with the floor itself.
 //!
 //! Batches are distributed over the same `rayon` worker pool that backs
 //! `solve_many`; each request is isolated — a panic in one becomes that
@@ -71,8 +76,8 @@ use mmb_core::api::{
     CacheLookup, CacheStats, Instance, InstanceDelta, SolveError, Solver, SolverArtifacts,
     SolverCache,
 };
-use mmb_core::failpoint;
 use mmb_core::pipeline::PipelineConfig;
+use mmb_core::{failpoint, verify};
 use mmb_graph::{Coloring, Graph};
 use rayon::prelude::*;
 
@@ -129,8 +134,9 @@ pub struct Served {
     /// Handle for follow-up [`Request::Mutate`] requests: the combined
     /// fingerprint of the (post-mutation) instance this coloring is for.
     pub ticket: u64,
-    /// The served coloring — total and strictly balanced (eq. (1)),
-    /// enforced before anything leaves the service.
+    /// The served coloring — total, strictly balanced (eq. (1)) and no
+    /// worse than the LPT floor, enforced before anything leaves the
+    /// service.
     pub coloring: Coloring,
     /// `‖∂χ⁻¹‖_∞` of the served coloring.
     pub max_boundary: f64,
@@ -294,50 +300,51 @@ impl Service {
         }
     }
 
-    fn solve_cold(&self, inst: Instance) -> (Result<Served, SolveError>, CacheEvent, ServePath) {
-        let (artifacts, cache_event) = self.lookup_artifacts(&inst);
-        if let Err(e) = failpoint::raise("service::worker") {
-            return (Err(e), cache_event, ServePath::Rejected);
+    /// A solver for `inst`, seeded with the cached artifacts if any.
+    fn solver<'i>(
+        &self,
+        inst: &'i Instance,
+        artifacts: Option<Arc<SolverArtifacts>>,
+    ) -> Result<Solver<'i>, SolveError> {
+        let mut builder = Solver::for_instance(inst)
+            .classes(self.cfg.k)
+            .config(self.cfg.pipeline.clone());
+        if let Some(a) = artifacts {
+            builder = builder.artifacts(a);
         }
-        let solved = {
-            let mut builder = Solver::for_instance(&inst)
-                .classes(self.cfg.k)
-                .config(self.cfg.pipeline.clone());
-            if let Some(a) = artifacts {
-                builder = builder.artifacts(a);
-            }
-            match builder.build() {
-                Ok(solver) => {
-                    let report = solver.solve();
-                    (report.coloring, report.max_boundary)
-                }
-                Err(e) => return (Err(e), cache_event, ServePath::Rejected),
-            }
-        };
-        let (coloring, max_boundary) = solved;
-        // The serving gate: nothing non-strict leaves the service, even
-        // if an upstream stage misbehaves.
-        if !coloring.is_strictly_balanced(inst.weights()) {
-            let defect = coloring.strict_balance_defect(inst.weights());
-            return (
-                Err(SolveError::NotStrict { defect }),
-                cache_event,
-                ServePath::Rejected,
-            );
-        }
-        let ticket = inst.fingerprint().combined();
+        builder.build()
+    }
+
+    /// Memoize `coloring` as the warm incumbent of `instance`'s ticket and
+    /// return the response payload.
+    fn remember(&self, instance: Instance, coloring: Coloring, max_boundary: f64) -> Served {
+        let ticket = instance.fingerprint().combined();
         let served = Served {
             ticket,
             coloring: coloring.clone(),
             max_boundary,
         };
-        self.lock_memo().insert(
-            ticket,
-            Arc::new(WarmState {
-                instance: inst,
-                coloring,
-            }),
-        );
+        let state = WarmState { instance, coloring };
+        self.lock_memo().insert(ticket, Arc::new(state));
+        served
+    }
+
+    fn solve_cold(&self, inst: Instance) -> (Result<Served, SolveError>, CacheEvent, ServePath) {
+        let (artifacts, cache_event) = self.lookup_artifacts(&inst);
+        if let Err(e) = failpoint::raise("service::worker") {
+            return (Err(e), cache_event, ServePath::Rejected);
+        }
+        let report = match self.solver(&inst, artifacts) {
+            Ok(solver) => solver.solve(),
+            Err(e) => return (Err(e), cache_event, ServePath::Rejected),
+        };
+        // The serving gate, as on the warm path: nothing leaves the
+        // service that is not strictly balanced and within the LPT
+        // floor; when the pipeline loses to the floor, the floor serves.
+        let floor = verify::lpt_floor(&inst, self.cfg.k);
+        let (coloring, max_boundary) =
+            verify::cheapest_passing(&inst, [report.coloring], floor.1).unwrap_or(floor);
+        let served = self.remember(inst, coloring, max_boundary);
         (Ok(served), cache_event, ServePath::Cold)
     }
 
@@ -357,39 +364,19 @@ impl Service {
         if let Err(e) = failpoint::raise("service::worker") {
             return (Err(e), cache_event, ServePath::Rejected);
         }
-        let delta_solve = {
-            let mut builder = Solver::for_instance(&state.instance)
-                .classes(self.cfg.k)
-                .config(self.cfg.pipeline.clone());
-            if let Some(a) = artifacts {
-                builder = builder.artifacts(a);
-            }
-            match builder.build() {
-                Ok(solver) => match solver.resolve_delta(delta, &state.coloring) {
-                    Ok(ds) => ds,
-                    Err(e) => return (Err(e), cache_event, ServePath::Rejected),
-                },
-                Err(e) => return (Err(e), cache_event, ServePath::Rejected),
-            }
+        let solved = self
+            .solver(&state.instance, artifacts)
+            .and_then(|solver| solver.resolve_delta(delta, &state.coloring));
+        let ds = match solved {
+            Ok(ds) => ds,
+            Err(e) => return (Err(e), cache_event, ServePath::Rejected),
         };
-        let path = if delta_solve.warm {
+        let path = if ds.warm {
             ServePath::Warm
         } else {
             ServePath::ColdFallback
         };
-        let ticket = delta_solve.instance.fingerprint().combined();
-        let served = Served {
-            ticket,
-            coloring: delta_solve.coloring.clone(),
-            max_boundary: delta_solve.max_boundary,
-        };
-        self.lock_memo().insert(
-            ticket,
-            Arc::new(WarmState {
-                instance: delta_solve.instance,
-                coloring: delta_solve.coloring,
-            }),
-        );
+        let served = self.remember(ds.instance, ds.coloring, ds.max_boundary);
         (Ok(served), cache_event, path)
     }
 }
@@ -491,6 +478,46 @@ mod tests {
             assert!(served.coloring.is_total());
             assert!(served.max_boundary.is_finite());
         }
+    }
+
+    #[test]
+    fn cold_path_never_serves_worse_than_the_lpt_floor() {
+        // A path whose cheap edges sit where the pipeline does not cut:
+        // its coloring costs 200, the LPT greedy's 103.
+        let graph = mmb_graph::gen::misc::path(7);
+        let costs = vec![3.0, 2.0, 100.0, 100.0, 1.0, 100.0];
+        let weights = vec![5.0, 3.0, 6.0, 1.0, 6.0, 9.0, 4.0];
+        let k = 2;
+        let service = Service::new(ServiceConfig::new(k));
+        let out = service.serve(vec![Request::Solve {
+            graph: graph.clone(),
+            costs: costs.clone(),
+            weights: weights.clone(),
+        }]);
+        assert_eq!(out[0].record.path, ServePath::Cold);
+        let served = out[0].outcome.as_ref().expect("a valid path serves");
+        assert!(served.coloring.is_total());
+        assert!(served.coloring.is_strictly_balanced(&weights));
+        let cost = served.coloring.max_boundary_cost(&graph, &costs);
+        assert_eq!(served.max_boundary, cost);
+
+        // LPT recomputed here: descending weight (ties by id), each
+        // vertex into the lightest class.
+        let mut order: Vec<u32> = (0..7).collect();
+        order.sort_by(|&a, &b| weights[b as usize].total_cmp(&weights[a as usize]));
+        let mut loads = [0.0f64; 2];
+        let mut lpt = Coloring::new_uncolored(7, k);
+        for v in order {
+            let c = usize::from(loads[1] < loads[0]);
+            loads[c] += weights[v as usize];
+            lpt.set(v, c as u32);
+        }
+        let floor = lpt.max_boundary_cost(&graph, &costs);
+        assert_eq!(floor, 103.0);
+        assert!(
+            cost <= floor,
+            "cold path served {cost} above the floor {floor}"
+        );
     }
 
     #[test]

@@ -28,10 +28,12 @@ pub enum CacheEvent {
 /// Which solve path produced the served coloring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServePath {
-    /// Fresh solve of a newly admitted instance.
+    /// Fresh solve of a newly admitted instance, gated like every other
+    /// path (`verify::gate`); when the pipeline's coloring loses to the
+    /// LPT floor, the floor is what serves.
     Cold,
     /// Incumbent repair via `Solver::resolve_delta` survived the
-    /// validation gate.
+    /// serving gate.
     Warm,
     /// The warm repair was rejected by the gate; the mutated instance
     /// was re-solved from scratch.
