@@ -39,6 +39,7 @@
 
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::recognize::{try_torus_dims, Structure};
+use mmb_graph::VertexSet;
 
 use crate::api::instance::Instance;
 use crate::lower_bounds::{min_edge_cost, Certificate, Derivation, LowerBound, Window};
@@ -83,16 +84,23 @@ fn full_box_extents(gg: &GridGraph) -> Option<Vec<usize>> {
         .zip(&maxs)
         .map(|(&lo, &hi)| (hi - lo + 1) as usize)
         .collect();
-    if extents.iter().product::<usize>() != n {
+    if extents
+        .iter()
+        .try_fold(1usize, |acc, &e| acc.checked_mul(e))
+        != Some(n)
+    {
         return None;
     }
-    #[expect(
-        clippy::disallowed_types,
-        reason = "duplicate detection by membership only; the set is never iterated"
-    )]
-    let mut seen = std::collections::HashSet::with_capacity(n);
+    // The box has exactly n cells: occupancy by mixed-radix index (axis 0
+    // fastest) detects a duplicate coordinate.
+    let mut seen = VertexSet::empty(n);
     for v in 0..n as u32 {
-        if !seen.insert(gg.coord(v).to_vec()) {
+        let (mut cell, mut stride) = (0usize, 1usize);
+        for ((&x, &lo), &e) in gg.coord(v).iter().zip(&mins).zip(&extents) {
+            cell += (x - lo) as usize * stride;
+            stride *= e;
+        }
+        if !seen.insert(cell as u32) {
             return None; // duplicate coordinate: not a bijection onto the box
         }
     }
@@ -379,6 +387,32 @@ mod tests {
             ));
             assert_eq!(n, 36, "a non-full blob must be refused");
         }
+    }
+
+    #[test]
+    fn recognized_l_shapes_get_no_lattice_certificate() {
+        // An L of two 3-wide arms is a grid graph that recognition embeds
+        // from the bare graph, but not a full box: no structural bound.
+        let points = (0..12i64)
+            .flat_map(|x| (0..12i64).map(move |y| vec![x, y]))
+            .filter(|p| p[0] < 3 || p[1] < 3)
+            .collect();
+        let inst = unit(GridGraph::from_points(2, points).graph);
+        assert_eq!(inst.structure().name(), "grid");
+        assert!(StructureBound.certify(&inst, 2).is_none());
+    }
+
+    #[test]
+    fn a_doubled_coordinate_is_not_a_full_box() {
+        // Six vertices on the 3×2 box with (1, 0) used twice and (0, 1)
+        // empty: the count of vertices and of edges match the full box,
+        // so only the duplicate check refuses it.
+        let coords = vec![0, 0, 1, 0, 1, 0, 2, 0, 1, 1, 2, 1];
+        let edges = [(0, 1), (0, 2), (1, 3), (2, 3), (1, 4), (3, 5), (4, 5)];
+        let g = mmb_graph::graph::graph_from_edges(6, &edges);
+        let grid = GridGraph::from_graph_coords(g, 2, coords);
+        let inst = Instance::from_grid(grid, vec![1.0; 7], vec![1.0; 6]).unwrap();
+        assert!(StructureBound.certify(&inst, 2).is_none());
     }
 
     #[test]

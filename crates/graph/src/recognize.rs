@@ -5,23 +5,19 @@
 //! splitter, paths get prefix splitting with `σ_p ≤ 2` — so an automatic
 //! splitter choice needs to know which family an anonymous [`Graph`]
 //! belongs to. [`recognize`] classifies a graph as (in order of
-//! preference) a disjoint union of paths, a forest, a full rectangular
-//! lattice (with the integer embedding reconstructed, so GridSplit can run
-//! on it), or arbitrary.
+//! preference) a disjoint union of paths, a forest, a grid graph (with
+//! the integer embedding reconstructed, so GridSplit can run on it), or
+//! arbitrary.
 //!
-//! Lattice recognition is *sound but deliberately not complete*: the
-//! reconstruction handles full axis-aligned boxes `[0,n₁)×…×[0,n_d)` in
-//! any dimension, and every accepted embedding is verified edge-by-edge
-//! (edges ⟺ `L1` distance 1), so a false positive is impossible — an
-//! irregular grid subset simply falls through to [`Structure::Arbitrary`].
-//! Callers that *know* their geometry (percolation subsets, blobs) should
-//! carry a [`GridGraph`] instead of a bare [`Graph`] and skip detection.
-
-#[expect(
-    clippy::disallowed_types,
-    reason = "coordinate-to-vertex lookups only; never iterated"
-)]
-use std::collections::HashMap;
+//! Lattice recognition is *sound but not complete*: a corner-anchored
+//! breadth-first reconstruction proposes an embedding, and every
+//! accepted embedding is verified (injective, and edges ⟺ `L1` distance
+//! 1), so a false positive is impossible. Full axis-aligned boxes
+//! `[0,n₁)×…×[0,n_d)` are always embedded; some irregular subsets
+//! (percolation blobs, L-shapes) are embedded too, and the rest fall
+//! through to [`Structure::Arbitrary`]. Callers that *know* their
+//! geometry should carry a [`GridGraph`] instead of a bare [`Graph`] and
+//! skip detection.
 
 use crate::gen::grid::GridGraph;
 use crate::graph::{Graph, VertexId};
@@ -38,8 +34,8 @@ pub enum Structure {
     },
     /// An acyclic graph that is not a union of paths.
     Forest,
-    /// A full rectangular lattice; carries the reconstructed embedding
-    /// (vertex ids identical to the input graph's).
+    /// A grid graph with a verified reconstructed embedding (vertex ids
+    /// identical to the input graph's); see [`try_lattice_embedding`].
     Grid(Box<GridGraph>),
     /// None of the above.
     Arbitrary,
@@ -76,7 +72,8 @@ pub fn recognition_count() -> u64 {
 /// Classify `g` into a [`Structure`].
 ///
 /// Runs in `O((n + m)·d)` (the lattice attempt dominates and bails out
-/// early on non-lattices).
+/// early on non-lattices), plus `O(n·d·log n)` only when an embedding's
+/// bounding box is sparse (see [`try_lattice_embedding`]).
 pub fn recognize(g: &Graph) -> Structure {
     RECOGNITIONS.with(|c| c.set(c.get() + 1));
     let n = g.num_vertices();
@@ -145,132 +142,214 @@ pub fn path_positions(g: &Graph) -> Vec<i64> {
     pos
 }
 
+/// Discovery axis of the BFS anchor: the corner has no ray to continue.
+const CORNER: u32 = u32::MAX;
+
+/// Verification uses a dense occupancy table while the bounding box holds
+/// at most this many cells per vertex, and a sorted coordinate index
+/// above.
+const DENSE_CELLS_PER_VERTEX: usize = 4;
+
 /// Try to reconstruct an integer lattice embedding of `g`.
 ///
-/// Succeeds exactly on graphs isomorphic to a full rectangular lattice
-/// `[0,n₁)×…×[0,n_d)` with every extent ≥ 2 (lower-dimensional boxes are
-/// recognized at their effective dimension). The embedding is anchored at
-/// a minimum-degree vertex (a lattice corner) and grown layer by layer:
-/// a vertex with one already-placed neighbor continues that neighbor's
-/// ray; a vertex with several takes their componentwise maximum. The
-/// candidate embedding is then verified — every edge must join points at
-/// `L1` distance exactly 1 and every distance-1 pair must be an edge — so
-/// the function never returns a wrong embedding.
-#[expect(
-    clippy::disallowed_types,
-    reason = "coordinate-to-vertex lookups only; never iterated"
-)]
+/// Sound, not complete: the embedding is anchored at a minimum-degree
+/// vertex (a lattice corner) and grown in BFS order — a vertex with one
+/// already-placed neighbor continues that neighbor's discovery ray (a
+/// fresh axis out of the corner); a vertex with several takes their
+/// componentwise maximum. The candidate is returned only if it verifies:
+/// injective, every edge joins points at `L1` distance exactly 1, and
+/// every distance-1 pair is an edge. So the function never returns a
+/// wrong embedding, and it accepts exactly what this reconstruction
+/// embeds: every connected full box `[0,n₁)×…×[0,n_d)` with at least two
+/// vertices (at its effective dimension), and some irregular subsets
+/// such as percolation blobs and L-shapes. Disconnected graphs are
+/// refused.
+///
+/// `O((n + m)·d)` time, plus `O(n·d·log n)` coordinate comparisons when
+/// the embedding's bounding box is sparse (more than a few cells per
+/// vertex) and verification falls back to a sorted coordinate index.
 pub fn try_lattice_embedding(g: &Graph) -> Option<GridGraph> {
     let n = g.num_vertices();
-    if n == 0 || !g.is_connected() {
-        return None;
-    }
     let v0 = (0..n as u32).min_by_key(|&v| g.degree(v))?;
     let dim = g.degree(v0);
     if dim == 0 || g.max_degree() > 2 * dim {
         return None;
     }
 
-    let mut coord: Vec<Option<Vec<i64>>> = vec![None; n];
-    let mut ray: Vec<Vec<i64>> = vec![vec![]; n]; // discovery direction
-    let mut occupied: HashMap<Vec<i64>, VertexId> = HashMap::with_capacity(n);
-    let mut next_axis = 0usize;
-
-    coord[v0 as usize] = Some(vec![0; dim]);
-    occupied.insert(vec![0; dim], v0);
-    let mut queue = std::collections::VecDeque::from([v0]);
+    // Flat coordinates, `dim` per vertex. Every ray is `+e_axis`, so a
+    // vertex's discovery ray is stored as its axis.
+    let mut coords = vec![0i64; n * dim];
+    let mut ray = vec![CORNER; n];
+    let mut placed = vec![false; n];
     let mut enqueued = vec![false; n];
+    let mut queue = Vec::with_capacity(n);
+    let mut c = vec![0i64; dim];
+    let mut next_axis = 0u32;
+    queue.push(v0);
     enqueued[v0 as usize] = true;
+    placed[v0 as usize] = true;
 
-    while let Some(v) = queue.pop_front() {
+    let mut head = 0;
+    while let Some(&v) = queue.get(head) {
+        head += 1;
         for &(nb, _) in g.neighbors(v) {
             if !enqueued[nb as usize] {
                 enqueued[nb as usize] = true;
-                queue.push_back(nb);
+                queue.push(nb);
             }
         }
         if v == v0 {
             continue;
         }
-        let placed: Vec<&Vec<i64>> = g
-            .neighbors(v)
-            .iter()
-            .filter_map(|&(nb, _)| coord[nb as usize].as_ref())
-            .collect();
-        let c = match placed.len() {
-            0 => return None, // BFS order guarantees a placed neighbor
-            1 => {
-                let p = placed[0];
-                let from = *occupied.get(p).expect("placed coords are occupied");
-                if from == v0 {
-                    // A fresh axis out of the corner.
-                    if next_axis >= dim {
-                        return None;
-                    }
-                    let mut c = vec![0i64; dim];
-                    c[next_axis] = 1;
+        // The first placed neighbor anchors the ray; the componentwise max
+        // over all placed neighbors is the candidate point.
+        let mut anchor = None;
+        let mut count = 0usize;
+        for &(nb, _) in g.neighbors(v) {
+            if !placed[nb as usize] {
+                continue;
+            }
+            let p = coord_of(&coords, dim, nb);
+            if count == 0 {
+                anchor = Some(nb);
+                c.copy_from_slice(p);
+            } else {
+                for (a, &b) in c.iter_mut().zip(p) {
+                    *a = (*a).max(b);
+                }
+            }
+            count += 1;
+        }
+        let anchor = anchor?; // BFS order guarantees a placed neighbor
+        let axis = if count == 1 {
+            // Continue the anchor's ray, or open a fresh axis at the corner.
+            let axis = match ray[anchor as usize] {
+                CORNER => {
+                    let fresh = next_axis;
                     next_axis += 1;
-                    c
-                } else {
-                    // Continue the ray that discovered `from`.
-                    let dir = &ray[from as usize];
-                    if dir.is_empty() {
-                        return None;
-                    }
-                    p.iter().zip(dir).map(|(a, b)| a + b).collect()
+                    fresh
                 }
+                a => a,
+            };
+            if axis as usize >= dim {
+                return None;
             }
-            _ => {
-                // Componentwise max of the placed neighbors; each must end
-                // up at L1 distance 1 from it.
-                let mut c = placed[0].clone();
-                for p in &placed[1..] {
-                    for (a, &b) in c.iter_mut().zip(p.iter()) {
-                        *a = (*a).max(b);
-                    }
-                }
-                if placed.iter().any(|p| l1(&c, p) != 1) {
-                    return None;
-                }
-                c
+            c[axis as usize] += 1;
+            axis
+        } else {
+            // Each placed neighbor must end up at L1 distance 1 from the
+            // max; then the max exceeds the anchor on exactly one axis.
+            let far = g
+                .neighbors(v)
+                .iter()
+                .filter(|&&(nb, _)| placed[nb as usize])
+                .any(|&(nb, _)| l1(&c, coord_of(&coords, dim, nb)) != 1);
+            if far {
+                return None;
             }
+            let p = coord_of(&coords, dim, anchor);
+            c.iter().zip(p).position(|(a, b)| a != b)? as u32
         };
-        let anchor = placed[0].clone();
-        if occupied.insert(c.clone(), v).is_some() {
-            return None; // collision: not an injective embedding
-        }
-        ray[v as usize] = c.iter().zip(&anchor).map(|(a, b)| a - b).collect();
-        coord[v as usize] = Some(c);
+        ray[v as usize] = axis;
+        coords[v as usize * dim..][..dim].copy_from_slice(&c);
+        placed[v as usize] = true;
     }
+    if queue.len() < n {
+        return None; // disconnected: the BFS never reached some vertex
+    }
+    // Every edge joins L1-adjacent points already: whichever endpoint was
+    // placed second checked the first above. What is left is injectivity
+    // and completeness (every distance-1 pair is an edge).
+    if !injective_and_complete(g, dim, &coords) {
+        return None;
+    }
+    Some(GridGraph::from_graph_coords(g.clone(), dim, coords))
+}
 
-    // Verification: edges ⟺ L1 distance 1.
-    let coords: Vec<Vec<i64>> = coord.into_iter().collect::<Option<_>>()?;
-    for &(u, v) in g.edge_list() {
-        if l1(&coords[u as usize], &coords[v as usize]) != 1 {
-            return None;
-        }
-    }
-    let mut probe = vec![0i64; dim];
-    for v in 0..n as u32 {
-        probe.copy_from_slice(&coords[v as usize]);
-        for axis in 0..dim {
-            for delta in [-1i64, 1] {
-                probe[axis] += delta;
-                if let Some(&u) = occupied.get(&probe) {
-                    if !g.has_edge(v, u) {
-                        return None;
-                    }
-                }
-                probe[axis] -= delta;
-            }
-        }
-    }
-    let flat: Vec<i64> = coords.into_iter().flatten().collect();
-    Some(GridGraph::from_graph_coords(g.clone(), dim, flat))
+#[inline]
+fn coord_of(coords: &[i64], dim: usize, v: VertexId) -> &[i64] {
+    &coords[v as usize * dim..][..dim]
 }
 
 fn l1(a: &[i64], b: &[i64]) -> i64 {
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
+}
+
+/// Check that the non-negative `coords` are pairwise distinct and that
+/// the number of point pairs at `L1` distance 1 equals the edge count.
+/// Since every edge already joins such a pair (and the graph is simple),
+/// equal counts mean the distance-1 pairs are exactly the edges. Each
+/// pair is counted once, from its lower point, by probing `+e_axis`.
+fn injective_and_complete(g: &Graph, dim: usize, coords: &[i64]) -> bool {
+    let n = g.num_vertices();
+    let mut extents = vec![0usize; dim];
+    for p in coords.chunks_exact(dim) {
+        for (e, &x) in extents.iter_mut().zip(p) {
+            *e = (*e).max(x as usize + 1);
+        }
+    }
+    let cells = extents
+        .iter()
+        .try_fold(1usize, |acc, &e| acc.checked_mul(e))
+        .filter(|&cells| cells <= DENSE_CELLS_PER_VERTEX.saturating_mul(n));
+    let pairs = match cells {
+        Some(cells) => dense_adjacent_pairs(&extents, cells, coords),
+        None => sorted_adjacent_pairs(dim, coords),
+    };
+    pairs == Some(g.num_edges())
+}
+
+/// [`injective_and_complete`]'s pair count over a mixed-radix occupancy
+/// table of the bounding box (axis 0 fastest); `None` on a duplicate
+/// point.
+fn dense_adjacent_pairs(extents: &[usize], cells: usize, coords: &[i64]) -> Option<usize> {
+    let dim = extents.len();
+    let mut strides = vec![1usize; dim];
+    for a in 1..dim {
+        strides[a] = strides[a - 1] * extents[a - 1];
+    }
+    let mut occupied = vec![false; cells];
+    let slot = |p: &[i64]| -> usize { p.iter().zip(&strides).map(|(&x, &s)| x as usize * s).sum() };
+    for p in coords.chunks_exact(dim) {
+        let cell = &mut occupied[slot(p)];
+        if *cell {
+            return None;
+        }
+        *cell = true;
+    }
+    let mut pairs = 0;
+    for p in coords.chunks_exact(dim) {
+        let base = slot(p);
+        for a in 0..dim {
+            if (p[a] as usize) + 1 < extents[a] && occupied[base + strides[a]] {
+                pairs += 1;
+            }
+        }
+    }
+    Some(pairs)
+}
+
+/// [`injective_and_complete`]'s pair count by binary search over the
+/// points in lexicographic order; `None` on a duplicate point.
+fn sorted_adjacent_pairs(dim: usize, coords: &[i64]) -> Option<usize> {
+    let mut points: Vec<&[i64]> = coords.chunks_exact(dim).collect();
+    points.sort_unstable();
+    if points.windows(2).any(|w| w[0] == w[1]) {
+        return None;
+    }
+    let mut probe = vec![0i64; dim];
+    let mut pairs = 0;
+    for p in &points {
+        probe.copy_from_slice(p);
+        for a in 0..dim {
+            probe[a] += 1;
+            if points.binary_search(&probe.as_slice()).is_ok() {
+                pairs += 1;
+            }
+            probe[a] -= 1;
+        }
+    }
+    Some(pairs)
 }
 
 /// Try to identify `g` as a torus lattice `Z_{e₁} × … × Z_{e_d}` in the
@@ -362,6 +441,288 @@ mod tests {
     use crate::gen::misc::{complete, cycle, ladder, path, star};
     use crate::gen::tree::{caterpillar, complete_binary_tree, random_tree};
     use crate::graph::graph_from_edges;
+
+    /// The map-based reconstruction [`try_lattice_embedding`] replaced,
+    /// kept verbatim (a `BTreeMap` standing in for the `HashMap`; lookups
+    /// only) as the differential reference.
+    fn reference_lattice_embedding(g: &Graph) -> Option<GridGraph> {
+        use std::collections::BTreeMap;
+        let n = g.num_vertices();
+        if n == 0 || !g.is_connected() {
+            return None;
+        }
+        let v0 = (0..n as u32).min_by_key(|&v| g.degree(v))?;
+        let dim = g.degree(v0);
+        if dim == 0 || g.max_degree() > 2 * dim {
+            return None;
+        }
+        let mut coord: Vec<Option<Vec<i64>>> = vec![None; n];
+        let mut ray: Vec<Vec<i64>> = vec![vec![]; n];
+        let mut occupied: BTreeMap<Vec<i64>, VertexId> = BTreeMap::new();
+        let mut next_axis = 0usize;
+        coord[v0 as usize] = Some(vec![0; dim]);
+        occupied.insert(vec![0; dim], v0);
+        let mut queue = std::collections::VecDeque::from([v0]);
+        let mut enqueued = vec![false; n];
+        enqueued[v0 as usize] = true;
+        while let Some(v) = queue.pop_front() {
+            for &(nb, _) in g.neighbors(v) {
+                if !enqueued[nb as usize] {
+                    enqueued[nb as usize] = true;
+                    queue.push_back(nb);
+                }
+            }
+            if v == v0 {
+                continue;
+            }
+            let placed: Vec<&Vec<i64>> = g
+                .neighbors(v)
+                .iter()
+                .filter_map(|&(nb, _)| coord[nb as usize].as_ref())
+                .collect();
+            let c = match placed.len() {
+                0 => return None,
+                1 => {
+                    let p = placed[0];
+                    let from = *occupied.get(p).expect("placed coords are occupied");
+                    if from == v0 {
+                        if next_axis >= dim {
+                            return None;
+                        }
+                        let mut c = vec![0i64; dim];
+                        c[next_axis] = 1;
+                        next_axis += 1;
+                        c
+                    } else {
+                        let dir = &ray[from as usize];
+                        if dir.is_empty() {
+                            return None;
+                        }
+                        p.iter().zip(dir).map(|(a, b)| a + b).collect()
+                    }
+                }
+                _ => {
+                    let mut c = placed[0].clone();
+                    for p in &placed[1..] {
+                        for (a, &b) in c.iter_mut().zip(p.iter()) {
+                            *a = (*a).max(b);
+                        }
+                    }
+                    if placed.iter().any(|p| l1(&c, p) != 1) {
+                        return None;
+                    }
+                    c
+                }
+            };
+            let anchor = placed[0].clone();
+            if occupied.insert(c.clone(), v).is_some() {
+                return None;
+            }
+            ray[v as usize] = c.iter().zip(&anchor).map(|(a, b)| a - b).collect();
+            coord[v as usize] = Some(c);
+        }
+        let coords: Vec<Vec<i64>> = coord.into_iter().collect::<Option<_>>()?;
+        for &(u, v) in g.edge_list() {
+            if l1(&coords[u as usize], &coords[v as usize]) != 1 {
+                return None;
+            }
+        }
+        let mut probe = vec![0i64; dim];
+        for v in 0..n as u32 {
+            probe.copy_from_slice(&coords[v as usize]);
+            for axis in 0..dim {
+                for delta in [-1i64, 1] {
+                    probe[axis] += delta;
+                    if let Some(&u) = occupied.get(&probe) {
+                        if !g.has_edge(v, u) {
+                            return None;
+                        }
+                    }
+                    probe[axis] -= delta;
+                }
+            }
+        }
+        let flat: Vec<i64> = coords.into_iter().flatten().collect();
+        Some(GridGraph::from_graph_coords(g.clone(), dim, flat))
+    }
+
+    /// Run both reconstructions on `g`: the same verdict and, on
+    /// acceptance, bit-identical coordinates. Returns the embedding.
+    fn agrees_with_reference(g: &Graph, label: &str) -> Option<GridGraph> {
+        let fast = try_lattice_embedding(g);
+        let reference = reference_lattice_embedding(g);
+        assert_eq!(
+            fast.as_ref().map(|e| (e.dim, e.coords())),
+            reference.as_ref().map(|e| (e.dim, e.coords())),
+            "{label}"
+        );
+        fast
+    }
+
+    /// `g` with vertex ids permuted by a seeded shuffle.
+    fn relabeled(g: &Graph, seed: u64) -> Graph {
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let n = g.num_vertices();
+        let mut perm: Vec<u32> = (0..n as u32).collect();
+        perm.shuffle(&mut rand::rngs::StdRng::seed_from_u64(seed));
+        let edges: Vec<(u32, u32)> = g
+            .edge_list()
+            .iter()
+            .map(|&(u, v)| (perm[u as usize], perm[v as usize]))
+            .collect();
+        graph_from_edges(n, &edges)
+    }
+
+    /// An L of two `width`-wide arms of length `side`, sharing the
+    /// `width × width` corner square.
+    fn l_shape(side: i64, width: i64) -> GridGraph {
+        let points = (0..side)
+            .flat_map(|x| (0..side).map(move |y| vec![x, y]))
+            .filter(|p| p[0] < width || p[1] < width)
+            .collect();
+        GridGraph::from_points(2, points)
+    }
+
+    /// `gg`'s graph plus a twin of the vertex at `at`: a new vertex joined
+    /// to the neighbors of that vertex with smaller coordinates.
+    fn with_lower_twin(gg: &GridGraph, at: &[i64]) -> Graph {
+        let n = gg.graph.num_vertices() as u32;
+        let u = (0..n).find(|&v| gg.coord(v) == at).expect("point present");
+        let mut edges = gg.graph.edge_list().to_vec();
+        for &(nb, _) in gg.graph.neighbors(u) {
+            if gg.coord(nb) < at {
+                edges.push((nb, n));
+            }
+        }
+        graph_from_edges(n as usize + 1, &edges)
+    }
+
+    #[test]
+    fn lattices_in_dimensions_one_to_four_match_the_reference() {
+        for dims in [
+            vec![2usize],
+            vec![9],
+            vec![1, 6],
+            vec![7, 5],
+            vec![2, 9],
+            vec![13, 11],
+            vec![3, 1, 4],
+            vec![4, 3, 5],
+            vec![6, 6, 6],
+            vec![2, 2, 2, 2],
+            vec![3, 2, 4, 3],
+            vec![4, 4, 4, 4],
+        ] {
+            let g = GridGraph::lattice(&dims).graph;
+            // Full boxes are always embedded, under any vertex labelling.
+            for (seed, g) in [(0, g.clone()), (1, relabeled(&g, 1)), (2, relabeled(&g, 2))] {
+                let found = agrees_with_reference(&g, &format!("{dims:?} relabel {seed}"));
+                assert!(found.is_some(), "{dims:?} relabel {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn percolation_subsets_match_the_reference() {
+        let mut cases = 0;
+        let mut accepted = 0;
+        for dims in [vec![6usize, 6], vec![10, 8], vec![4, 4, 4]] {
+            for step in 0..8 {
+                let keep = 0.6 + 0.05 * step as f64;
+                for seed in 0..200 {
+                    let g = GridGraph::percolation(&dims, keep, seed).graph;
+                    let label = format!("{dims:?} keep {keep} seed {seed}");
+                    accepted += usize::from(agrees_with_reference(&g, &label).is_some());
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 4800);
+        // Both verdicts occur, so the comparison is not vacuous.
+        assert!(accepted > 0 && accepted < cases, "{accepted}/{cases}");
+    }
+
+    #[test]
+    fn random_blobs_match_the_reference() {
+        for dim in [2usize, 3] {
+            for n in [8usize, 30, 120] {
+                for seed in 0..40 {
+                    let g = GridGraph::random_blob(dim, n, seed).graph;
+                    agrees_with_reference(&g, &format!("blob d={dim} n={n} seed {seed}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quick_corpus_graphs_match_the_reference() {
+        // The graphs of `mmb_instances::corpus::Corpus::quick`.
+        use crate::gen::attachment::preferential_attachment;
+        use crate::gen::community::planted_partition;
+        use crate::gen::geometric::random_geometric;
+        use crate::gen::lattice::{hypercube, torus};
+        use crate::gen::smallworld::watts_strogatz;
+        for (label, g) in [
+            ("pa", preferential_attachment(90, 2, 5)),
+            ("rgg", random_geometric(80, 0.18, 2).graph),
+            ("ws", watts_strogatz(90, 2, 0.08, 3)),
+            ("hypercube", hypercube(6)),
+            ("torus", torus(&[10, 10])),
+            ("sbm", planted_partition(80, 4, 0.16, 0.01, 4).graph),
+            ("grid", GridGraph::lattice(&[12, 12]).graph),
+            ("tree", random_tree(90, 3, 8)),
+        ] {
+            agrees_with_reference(&g, label);
+        }
+    }
+
+    #[test]
+    fn sparse_l_shapes_match_the_reference_through_the_sorted_index() {
+        for side in [40i64, 200] {
+            for width in [2i64, 3] {
+                let g = l_shape(side, width).graph;
+                let label = format!("L side {side} width {width}");
+                let found = agrees_with_reference(&g, &label)
+                    .unwrap_or_else(|| panic!("{label} is a grid graph the BFS embeds"));
+                // The bounding box is far sparser than the dense table
+                // takes, so verification ran on the sorted index.
+                let n = g.num_vertices();
+                let cells: usize = (0..found.dim)
+                    .map(|a| {
+                        let axis = found.coords().iter().skip(a).step_by(found.dim);
+                        (axis.clone().max().unwrap() - axis.min().unwrap() + 1) as usize
+                    })
+                    .product();
+                assert!(cells > DENSE_CELLS_PER_VERTEX * n, "{label}: {cells} cells");
+            }
+        }
+    }
+
+    #[test]
+    fn disconnected_and_non_grid_graphs_are_refused_like_the_reference() {
+        let square = GridGraph::lattice(&[3, 3]);
+        for (label, g) in [
+            ("two squares", GridGraph::disjoint_copies(&square, 2).graph),
+            (
+                "square plus isolated vertex",
+                graph_from_edges(10, square.graph.edge_list()),
+            ),
+            ("cycle5", cycle(5)),
+            ("k5", complete(5)),
+            ("tree", random_tree(40, 3, 1)),
+            // The twin lands on the centre's point, and its two non-edges
+            // upward balance the two edges it shares below: only the
+            // injectivity check (dense table / sorted index) refuses these.
+            ("3x3 with a twin", with_lower_twin(&square, &[1, 1])),
+            (
+                "sparse L with a twin",
+                with_lower_twin(&l_shape(40, 2), &[1, 1]),
+            ),
+        ] {
+            assert!(agrees_with_reference(&g, label).is_none(), "{label}");
+        }
+    }
 
     #[test]
     fn recognizes_paths_and_orders_them() {
