@@ -10,7 +10,10 @@
 //!    cost-degree profile),
 //! 3. `‖c‖_p` for the Theorem 5 bound in reports.
 //!
-//! [`SolverArtifacts`] snapshots all three. A [`SolverCache`] keyed by
+//! [`SolverArtifacts`] keeps all three, next to refcounted handles on the
+//! instance's graph, cost vector and recognized structure (nothing is
+//! copied: an instance's topology is immutable and shared, see
+//! [`Instance::topology`]). A [`SolverCache`] keyed by
 //! [`Fingerprint::artifact_key`] (structure ⊕ costs — weights excluded,
 //! so weight-only churn stays warm) hands the snapshot back to
 //! `SolverBuilder::artifacts`, which skips the recomputation entirely.
@@ -19,8 +22,10 @@
 //!
 //! The 64-bit key is a *filter*, not a proof: on every hit the cache
 //! re-checks the candidate against the instance with
-//! [`SolverArtifacts::matches`] — full structural equality of the edge
-//! list, bit-equality of the costs, bit-equality of `p`. A colliding key
+//! [`SolverArtifacts::matches`] — bit-equality of `p`, and either the very
+//! same shared graph and cost vector (`Arc::ptr_eq`, what weight churn
+//! produces) or full structural equality of the edge list and
+//! bit-equality of the costs. A colliding key
 //! is reported as [`CacheLookup::Collision`] and recomputed; a stale or
 //! poisoned entry can be dropped with [`SolverCache::evict_for`]. Served
 //! results therefore never depend on the hash being collision-free.
@@ -48,15 +53,15 @@ use crate::pi::splitting_cost_measure_within;
 /// costs (weights may differ freely).
 #[derive(Clone, Debug)]
 pub struct SolverArtifacts {
-    /// The graph the artifacts were computed over (owned snapshot, used
-    /// for the exact collision check).
-    graph: Graph,
-    /// The cost vector the artifacts were computed over.
-    costs: Vec<f64>,
+    /// The graph the artifacts were computed over (the instance's shared
+    /// topology, used for the exact collision check).
+    topology: Arc<Graph>,
+    /// The cost vector the artifacts were computed over (shared likewise).
+    costs: Arc<Vec<f64>>,
     /// The exponent `p` the `π` measure and `‖c‖_p` were computed for.
     p: f64,
     /// Recognition verdict, reusable via `Instance::seed_structure`.
-    structure: Structure,
+    structure: Arc<Structure>,
     /// Splitting-cost measure `π` (Definition 10), shared by refcount.
     pi: Arc<[f64]>,
     /// `‖c‖_p`.
@@ -76,10 +81,10 @@ impl SolverArtifacts {
         let pi: Arc<[f64]> =
             splitting_cost_measure_within(g, inst.costs(), p, 1.0, inst.domain()).into();
         SolverArtifacts {
-            graph: g.clone(),
-            costs: inst.costs().to_vec(),
+            topology: Arc::clone(inst.topology()),
+            costs: Arc::clone(inst.shared_costs()),
             p,
-            structure: inst.structure().clone(),
+            structure: Arc::clone(inst.shared_structure()),
             pi,
             c_norm_p: inst.cost_norm(p),
             fingerprint: inst.fingerprint(),
@@ -87,18 +92,28 @@ impl SolverArtifacts {
     }
 
     /// Exact applicability check: does this snapshot describe `inst` at
-    /// exponent `p`? Full equality — edge list, cost bits, `p` bits —
-    /// so a fingerprint collision can never smuggle in wrong artifacts.
+    /// exponent `p`? `p` bits must agree; then either `inst` holds the very
+    /// graph and cost vector the artifacts were computed over (pointer
+    /// equality, `O(1)`), or the edge lists and cost bits are compared in
+    /// full — so a fingerprint collision can never smuggle in wrong
+    /// artifacts.
     pub fn matches(&self, inst: &Instance, p: f64) -> bool {
-        self.p.to_bits() == p.to_bits()
-            && self.graph.num_vertices() == inst.num_vertices()
-            && self.graph.edge_list() == inst.graph().edge_list()
-            && self.costs.len() == inst.costs().len()
-            && self
-                .costs
-                .iter()
-                .zip(inst.costs())
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        if self.p.to_bits() != p.to_bits() {
+            return false;
+        }
+        let shared = inst
+            .shared_topology()
+            .is_some_and(|g| Arc::ptr_eq(g, &self.topology))
+            && Arc::ptr_eq(inst.shared_costs(), &self.costs);
+        shared
+            || (self.topology.num_vertices() == inst.num_vertices()
+                && self.topology.edge_list() == inst.graph().edge_list()
+                && self.costs.len() == inst.costs().len()
+                && self
+                    .costs
+                    .iter()
+                    .zip(inst.costs())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()))
     }
 
     /// The exponent the artifacts were computed for.
@@ -108,6 +123,12 @@ impl SolverArtifacts {
 
     /// The cached recognition verdict.
     pub fn structure(&self) -> &Structure {
+        &self.structure
+    }
+
+    /// The cached recognition verdict as the shared handle
+    /// `Instance::seed_structure` takes.
+    pub(crate) fn shared_structure(&self) -> &Arc<Structure> {
         &self.structure
     }
 
@@ -351,5 +372,59 @@ mod tests {
         assert_eq!(art.pi().len(), a.num_vertices());
         assert_eq!(art.fingerprint(), a.fingerprint());
         assert_eq!(art.p(), 2.0);
+    }
+
+    fn bare_grid_instance(side: usize, cost: f64) -> Instance {
+        let g = GridGraph::lattice(&[side, side]).graph;
+        let (n, m) = (g.num_vertices(), g.num_edges());
+        Instance::new(g, vec![cost; m], vec![1.0; n]).expect("valid grid instance")
+    }
+
+    #[test]
+    fn matches_by_pointer_then_by_full_comparison() {
+        let a = bare_grid_instance(4, 1.0);
+        let art = SolverArtifacts::compute(&a, 2.0);
+        assert!(Arc::ptr_eq(&art.topology, a.topology()));
+        assert!(Arc::ptr_eq(&art.costs, a.shared_costs()));
+        // A weight delta shares both handles: the O(1) path.
+        let warm = crate::api::InstanceDelta::new()
+            .set_weight(3, 9.0)
+            .apply(&a)
+            .expect("applies")
+            .instance;
+        assert!(art.matches(&warm, 2.0));
+        assert!(!art.matches(&warm, 1.5));
+        // An equal instance built separately: the full comparison.
+        let twin = bare_grid_instance(4, 1.0);
+        assert!(!Arc::ptr_eq(twin.topology(), a.topology()));
+        assert!(art.matches(&twin, 2.0));
+        // Same topology pointer, one re-priced edge: refused.
+        let repriced = crate::api::InstanceDelta::new()
+            .set_cost(0, 1.0 + 1e-12)
+            .apply(&a)
+            .expect("applies")
+            .instance;
+        assert!(Arc::ptr_eq(repriced.topology(), a.topology()));
+        assert!(!art.matches(&repriced, 2.0));
+        // Equal costs, different graph: refused.
+        assert!(!art.matches(&bare_grid_instance(5, 1.0), 2.0));
+        // -0.0 and 0.0 differ in their bits.
+        let zero = bare_grid_instance(3, 0.0);
+        let art0 = SolverArtifacts::compute(&zero, 2.0);
+        assert!(!art0.matches(&bare_grid_instance(3, -0.0), 2.0));
+    }
+
+    #[test]
+    fn a_warm_build_shares_the_cached_structure() {
+        let a = bare_grid_instance(5, 1.0);
+        let art = Arc::new(SolverArtifacts::compute(&a, 2.0));
+        let b = bare_grid_instance(5, 1.0);
+        crate::api::Solver::for_instance(&b)
+            .classes(2)
+            .artifacts(Arc::clone(&art))
+            .build()
+            .expect("builds");
+        assert!(Arc::ptr_eq(b.shared_structure(), art.shared_structure()));
+        assert_eq!(b.family(), "grid");
     }
 }

@@ -16,10 +16,23 @@
 //! [`SplitterChoice::Auto`](crate::api::SplitterChoice) picks GridSplit
 //! for lattices, the DFS splitter for forests, prefix splitting for
 //! paths, and the BFS fallback for everything else.
+//!
+//! ## Shared, immutable topology
+//!
+//! The graph, the cost vector and the detected [`Structure`] sit behind
+//! `Arc`s and are never mutated after construction. An instance derived
+//! by a weight or cost delta ([`InstanceDelta::apply`]) therefore shares
+//! its base's CSR ([`Instance::topology`] is `Arc::ptr_eq` to the base's),
+//! its recognized structure and its structure digest, and — when no cost
+//! changed — its cost vector too. Only the weights (and extra measures)
+//! are its own. This is what keeps a serving memo of many tickets over one
+//! mesh at roughly one mesh's worth of topology.
+//!
+//! [`InstanceDelta::apply`]: crate::api::InstanceDelta::apply
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-use mmb_graph::fingerprint::Fingerprint;
+use mmb_graph::fingerprint::{cost_digest, structure_digest, weight_digest, Fingerprint};
 use mmb_graph::gen::grid::GridGraph;
 use mmb_graph::measure::{cost_degree_measure, norm_1, norm_inf, total_edge_norm_p};
 use mmb_graph::recognize::{recognize, Structure};
@@ -30,8 +43,14 @@ use crate::api::error::{validate_costs, validate_weights, InstanceError};
 
 /// How the instance holds its graph: bare, or with grid geometry.
 enum Host {
-    Plain(Graph),
-    Grid(GridGraph),
+    Plain(Arc<Graph>),
+    /// `topology` is a shared copy of `grid.graph`, made the first time
+    /// [`Instance::topology`] is asked for it (geometry-carrying instances
+    /// own their `GridGraph`, whose graph is not behind an `Arc`).
+    Grid {
+        grid: GridGraph,
+        topology: OnceLock<Arc<Graph>>,
+    },
 }
 
 /// A validated decomposition instance `(G, c, w[, extra measures])` with
@@ -43,7 +62,7 @@ enum Host {
 /// any [`Partitioner`](crate::api::Partitioner).
 pub struct Instance {
     host: Host,
-    costs: Vec<f64>,
+    costs: Arc<Vec<f64>>,
     weights: Vec<f64>,
     extras: Vec<Vec<f64>>,
     domain: VertexSet,
@@ -52,8 +71,19 @@ pub struct Instance {
     c_max: f64,
     c_total: f64,
     delta_c: f64,
-    detected: OnceLock<Structure>,
+    detected: OnceLock<Arc<Structure>>,
+    /// Fingerprint parts inherited from a base instance whose topology
+    /// (and, for `costs`, cost vector) this one shares.
+    inherited: Inherited,
     fingerprint: OnceLock<Fingerprint>,
+}
+
+/// Digests an instance need not recompute because it shares the data they
+/// were taken over with the instance it was derived from.
+#[derive(Clone, Copy, Default)]
+struct Inherited {
+    structure: Option<u64>,
+    costs: Option<u64>,
 }
 
 impl std::fmt::Debug for Instance {
@@ -78,7 +108,11 @@ impl Instance {
     /// use.
     pub fn new(graph: Graph, costs: Vec<f64>, weights: Vec<f64>) -> Result<Self, InstanceError> {
         validate(&graph, &costs, &weights)?;
-        Ok(Self::build(Host::Plain(graph), costs, weights))
+        Ok(Self::build(
+            Host::Plain(Arc::new(graph)),
+            Arc::new(costs),
+            weights,
+        ))
     }
 
     /// Validate and cache an instance over a [`GridGraph`], preserving its
@@ -91,13 +125,17 @@ impl Instance {
         weights: Vec<f64>,
     ) -> Result<Self, InstanceError> {
         validate(&grid.graph, &costs, &weights)?;
-        Ok(Self::build(Host::Grid(grid), costs, weights))
+        let host = Host::Grid {
+            grid,
+            topology: OnceLock::new(),
+        };
+        Ok(Self::build(host, Arc::new(costs), weights))
     }
 
-    fn build(host: Host, costs: Vec<f64>, weights: Vec<f64>) -> Self {
+    fn build(host: Host, costs: Arc<Vec<f64>>, weights: Vec<f64>) -> Self {
         let graph = match &host {
             Host::Plain(g) => g,
-            Host::Grid(gg) => &gg.graph,
+            Host::Grid { grid, .. } => &grid.graph,
         };
         let domain = VertexSet::full(graph.num_vertices());
         let delta_c = norm_inf(&cost_degree_measure(graph, &costs));
@@ -115,32 +153,92 @@ impl Instance {
             c_total,
             delta_c,
             detected: OnceLock::new(),
+            inherited: Inherited::default(),
             fingerprint: OnceLock::new(),
         }
     }
 
-    /// Assemble an instance from parts whose touched entries were already
-    /// validated by [`InstanceDelta::apply`](crate::api::InstanceDelta) —
-    /// the warm-mutation constructor. Skips the `O(n + m)` finiteness
-    /// checks (the untouched entries passed them when the base instance
-    /// was built); the cheap derived aggregates (`‖w‖_∞`, `Δ_c`, …) are
-    /// recomputed in one streaming pass, since each is data-dependent on
-    /// every entry.
+    /// Assemble an instance over a freshly built graph from parts whose
+    /// touched entries were already validated by
+    /// [`InstanceDelta::apply`](crate::api::InstanceDelta) — the warm
+    /// constructor for deltas that change the topology. Skips the
+    /// `O(n + m)` finiteness checks (the untouched entries passed them when
+    /// the base instance was built); the cheap derived aggregates
+    /// (`‖w‖_∞`, `Δ_c`, …) are recomputed in one streaming pass, since each
+    /// is data-dependent on every entry.
     pub(crate) fn from_validated_parts(
         graph: Graph,
         costs: Vec<f64>,
         weights: Vec<f64>,
         extras: Vec<Vec<f64>>,
     ) -> Self {
-        let mut inst = Self::build(Host::Plain(graph), costs, weights);
+        let mut inst = Self::build(Host::Plain(Arc::new(graph)), Arc::new(costs), weights);
         inst.extras = extras;
         inst
     }
 
+    /// The warm constructor for deltas that keep `base`'s topology: the new
+    /// instance shares `base`'s graph, its structure digest and (for a bare
+    /// graph) its detected structure by refcount. `costs` is `None` when no
+    /// cost changed, and then the cost vector, its digest and the
+    /// cost-derived aggregates (`‖c‖_∞`, `‖c‖₁`, `Δ_c`) are shared or
+    /// copied too; otherwise they are recomputed over the new vector.
+    /// Weights and extras are the caller's, already validated.
+    pub(crate) fn with_shared_topology(
+        base: &Instance,
+        costs: Option<Vec<f64>>,
+        weights: Vec<f64>,
+        extras: Vec<Vec<f64>>,
+    ) -> Self {
+        let topology = Arc::clone(base.topology());
+        let (w_max, w_total) = (norm_inf(&weights), norm_1(&weights));
+        let known = base.fingerprint.get();
+        let (costs, c_max, c_total, delta_c, costs_digest) = match costs {
+            None => (
+                Arc::clone(&base.costs),
+                base.c_max,
+                base.c_total,
+                base.delta_c,
+                known.map(|fp| fp.costs).or(base.inherited.costs),
+            ),
+            Some(c) => {
+                let delta_c = norm_inf(&cost_degree_measure(&topology, &c));
+                let (c_max, c_total) = (norm_inf(&c), norm_1(&c));
+                (Arc::new(c), c_max, c_total, delta_c, None)
+            }
+        };
+        // A detected structure only carries over from a bare-graph base:
+        // a geometry-carrying base's `Structure::Grid` is its given
+        // embedding, which detection on the bare graph might refuse.
+        let detected = OnceLock::new();
+        if let (Host::Plain(_), Some(s)) = (&base.host, base.detected.get()) {
+            let _ = detected.set(Arc::clone(s));
+        }
+        Instance {
+            host: Host::Plain(topology),
+            costs,
+            weights,
+            extras,
+            domain: base.domain.clone(),
+            w_max,
+            w_total,
+            c_max,
+            c_total,
+            delta_c,
+            detected,
+            inherited: Inherited {
+                structure: known.map(|fp| fp.structure).or(base.inherited.structure),
+                costs: costs_digest,
+            },
+            fingerprint: OnceLock::new(),
+        }
+    }
+
     /// Seed the memoized structure slot from a cached recognition result
     /// (`SolverArtifacts`), so a warm build never re-runs detection. A
-    /// no-op if detection already ran on this instance.
-    pub(crate) fn seed_structure(&self, s: Structure) {
+    /// refcount bump, not a copy; a no-op if detection already ran on
+    /// this instance.
+    pub(crate) fn seed_structure(&self, s: Arc<Structure>) {
         let _ = self.detected.set(s);
     }
 
@@ -170,7 +268,26 @@ impl Instance {
     pub fn graph(&self) -> &Graph {
         match &self.host {
             Host::Plain(g) => g,
-            Host::Grid(gg) => &gg.graph,
+            Host::Grid { grid, .. } => &grid.graph,
+        }
+    }
+
+    /// The host graph as a shared handle: instances derived by weight or
+    /// cost deltas hold the same `Arc` (compare with [`Arc::ptr_eq`]). A
+    /// geometry-carrying instance ([`Instance::from_grid`]) makes its
+    /// shared copy on the first call.
+    pub fn topology(&self) -> &Arc<Graph> {
+        match &self.host {
+            Host::Plain(g) => g,
+            Host::Grid { grid, topology } => topology.get_or_init(|| Arc::new(grid.graph.clone())),
+        }
+    }
+
+    /// The shared topology handle if one exists, without making one.
+    pub(crate) fn shared_topology(&self) -> Option<&Arc<Graph>> {
+        match &self.host {
+            Host::Plain(g) => Some(g),
+            Host::Grid { topology, .. } => topology.get(),
         }
     }
 
@@ -179,7 +296,7 @@ impl Instance {
     /// reconstructed for a full lattice.
     pub fn grid(&self) -> Option<&GridGraph> {
         match &self.host {
-            Host::Grid(gg) => Some(gg),
+            Host::Grid { grid, .. } => Some(grid),
             Host::Plain(_) => match self.structure() {
                 Structure::Grid(gg) => Some(gg),
                 _ => None,
@@ -190,6 +307,11 @@ impl Instance {
     /// Edge costs `c`, indexed by edge id.
     #[inline]
     pub fn costs(&self) -> &[f64] {
+        &self.costs
+    }
+
+    /// The cost vector as a shared handle (see [`Instance::topology`]).
+    pub(crate) fn shared_costs(&self) -> &Arc<Vec<f64>> {
         &self.costs
     }
 
@@ -270,9 +392,17 @@ impl Instance {
     /// [`mmb_graph::recognize::recognize`] on first call for bare-graph
     /// instances).
     pub fn structure(&self) -> &Structure {
-        self.detected.get_or_init(|| match &self.host {
-            Host::Grid(gg) => Structure::Grid(Box::new(gg.clone())),
-            Host::Plain(g) => recognize(g),
+        self.shared_structure()
+    }
+
+    /// [`Instance::structure`] as the shared handle the artifact cache
+    /// stores.
+    pub(crate) fn shared_structure(&self) -> &Arc<Structure> {
+        self.detected.get_or_init(|| {
+            Arc::new(match &self.host {
+                Host::Grid { grid, .. } => Structure::Grid(Box::new(grid.clone())),
+                Host::Plain(g) => recognize(g),
+            })
         })
     }
 
@@ -281,19 +411,25 @@ impl Instance {
     /// running detection.
     pub fn family(&self) -> &'static str {
         match &self.host {
-            Host::Grid(_) => "grid",
+            Host::Grid { .. } => "grid",
             Host::Plain(_) => self.structure().name(),
         }
     }
 
     /// The instance's canonical [`Fingerprint`] (structure, cost and
     /// weight digests; see [`mmb_graph::fingerprint`]). Computed on first
-    /// use (`O(n + m)`), memoized after — the identity the warm-path
-    /// caches key on.
+    /// use (`O(n + m)`; `O(n)` for a weight delta's result, which inherits
+    /// the structure and cost digests), memoized after — the identity the
+    /// warm-path caches key on.
     pub fn fingerprint(&self) -> Fingerprint {
-        *self
-            .fingerprint
-            .get_or_init(|| Fingerprint::of_parts(self.graph(), &self.costs, &self.weights))
+        *self.fingerprint.get_or_init(|| {
+            let Inherited { structure, costs } = self.inherited;
+            Fingerprint {
+                structure: structure.unwrap_or_else(|| structure_digest(self.graph())),
+                costs: costs.unwrap_or_else(|| cost_digest(&self.costs)),
+                weights: weight_digest(&self.weights),
+            }
+        })
     }
 
     /// The measures the pipeline weakly balances: `w` first, then the
@@ -395,5 +531,28 @@ mod tests {
         let inst = Instance::new(grid.graph, vec![1.0; m], vec![1.0; 20]).unwrap();
         assert_eq!(inst.family(), "grid");
         assert_eq!(inst.grid().unwrap().dim, 2);
+    }
+
+    #[test]
+    fn digests_are_inherited_down_a_chain_of_weight_deltas() {
+        use crate::api::InstanceDelta;
+        let base = Instance::new(path(5), vec![1.0; 4], vec![1.0; 5]).unwrap();
+        let fp = base.fingerprint();
+        let middle = InstanceDelta::new()
+            .set_weight(0, 2.0)
+            .apply(&base)
+            .unwrap();
+        // `middle` never computes its own fingerprint; `last` still
+        // inherits both digests through it.
+        let last = InstanceDelta::new()
+            .set_weight(1, 3.0)
+            .apply(&middle.instance)
+            .unwrap()
+            .instance;
+        assert_eq!(last.inherited.structure, Some(fp.structure));
+        assert_eq!(last.inherited.costs, Some(fp.costs));
+        let repriced = InstanceDelta::new().set_cost(0, 5.0).apply(&last).unwrap();
+        assert_eq!(repriced.instance.inherited.structure, Some(fp.structure));
+        assert_eq!(repriced.instance.inherited.costs, None);
     }
 }

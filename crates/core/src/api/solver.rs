@@ -200,7 +200,7 @@ impl<'i> SolverBuilder<'i> {
             .filter(|a| a.matches(inst, self.cfg.p))
             .cloned();
         if let Some(a) = &warm {
-            inst.seed_structure(a.structure().clone());
+            inst.seed_structure(Arc::clone(a.shared_structure()));
         }
         let (splitter, family): (Box<dyn Splitter + 'i>, &'static str) = match self.choice {
             SplitterChoice::Auto => auto_splitter(inst),

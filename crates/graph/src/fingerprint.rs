@@ -87,8 +87,8 @@ impl Fingerprint {
     pub fn of_parts(g: &Graph, costs: &[f64], weights: &[f64]) -> Self {
         Fingerprint {
             structure: structure_digest(g),
-            costs: measure_digest(1, costs),
-            weights: measure_digest(2, weights),
+            costs: cost_digest(costs),
+            weights: weight_digest(weights),
         }
     }
 
@@ -123,6 +123,17 @@ pub fn structure_digest(g: &Graph) -> u64 {
         d.mix(((u as u64) << 32) | v as u64);
     }
     d.finish()
+}
+
+/// The [`Fingerprint::costs`] part alone, for a consumer that already
+/// holds the other parts. `O(m)`.
+pub fn cost_digest(costs: &[f64]) -> u64 {
+    measure_digest(1, costs)
+}
+
+/// The [`Fingerprint::weights`] part alone. `O(n)`.
+pub fn weight_digest(weights: &[f64]) -> u64 {
+    measure_digest(2, weights)
 }
 
 /// Digest of one measure vector (costs, weights, or an extra measure),

@@ -38,6 +38,25 @@
 //! entry is never served, and the event is visible as
 //! [`CacheEvent::Poisoned`] in the record.
 //!
+//! ## Tickets: what they share, what they copy
+//!
+//! Every served response is remembered under its ticket as the instance
+//! plus the served coloring. Instance topology is immutable and shared
+//! (`Instance::topology`): a ticket produced by a weight or cost mutation
+//! shares its base ticket's graph, detected structure and structure
+//! digest, and its cost vector unless the mutation re-priced an edge; it
+//! owns only its weights (and re-priced costs) and its coloring. The
+//! artifact cache holds handles to the same graph and costs, not copies.
+//! A cold [`Request::Solve`] brings its own graph; mutations that add or
+//! remove vertices or edges build a new one.
+//!
+//! The memo is bounded by [`ServiceConfig::memo_capacity`]: past it, the
+//! least recently used ticket (recency set by insert and by a successful
+//! [`Request::Mutate`] lookup) is evicted, deterministically — no clock,
+//! no hashing. A mutation against an evicted ticket is rejected like an
+//! unknown one, with the typed [`SolveError::WarmStartMismatch`]
+//! (`what: "ticket"`); an evicted ticket is never served.
+//!
 //! ```
 //! use mmb_graph::gen::grid::GridGraph;
 //! use mmb_service::{Request, Service, ServiceConfig};
@@ -93,16 +112,22 @@ pub struct ServiceConfig {
     pub pipeline: PipelineConfig,
     /// Artifact-cache capacity (LRU entries). 0 disables reuse.
     pub cache_capacity: usize,
+    /// Ticket-memo capacity: how many tickets the service remembers for
+    /// [`Request::Mutate`]. Past it the least recently used ticket is
+    /// evicted, and a mutation against it is rejected like an unknown
+    /// ticket. 0 remembers none.
+    pub memo_capacity: usize,
 }
 
 impl ServiceConfig {
     /// Defaults: the given `k`, [`PipelineConfig::default`], artifact
-    /// cache of 16 entries.
+    /// cache of 16 entries, ticket memo of 4096 tickets.
     pub fn new(k: usize) -> Self {
         ServiceConfig {
             k,
             pipeline: PipelineConfig::default(),
             cache_capacity: 16,
+            memo_capacity: 4096,
         }
     }
 }
@@ -159,21 +184,90 @@ struct WarmState {
     coloring: Coloring,
 }
 
+/// The ticket memo: a bounded LRU over tickets. Recency is a per-memo
+/// counter stamped on insert and on a successful lookup — no clock, no
+/// hashing — so one request sequence always evicts the same tickets.
+struct Memo {
+    capacity: usize,
+    next_stamp: u64,
+    /// Ticket → (recency stamp, warm state).
+    by_ticket: BTreeMap<u64, (u64, Arc<WarmState>)>,
+    /// Recency stamp → ticket; the first entry is the eviction victim.
+    by_stamp: BTreeMap<u64, u64>,
+}
+
+impl Memo {
+    fn new(capacity: usize) -> Self {
+        Memo {
+            capacity,
+            next_stamp: 0,
+            by_ticket: BTreeMap::new(),
+            by_stamp: BTreeMap::new(),
+        }
+    }
+
+    fn stamp(&mut self, ticket: u64) -> u64 {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        self.by_stamp.insert(stamp, ticket);
+        stamp
+    }
+
+    /// The ticket's state, marked most recently used.
+    fn touch(&mut self, ticket: u64) -> Option<Arc<WarmState>> {
+        let stamp = self.by_ticket.get(&ticket)?.0;
+        self.by_stamp.remove(&stamp);
+        let fresh = self.stamp(ticket);
+        let entry = self.by_ticket.get_mut(&ticket)?;
+        entry.0 = fresh;
+        Some(Arc::clone(&entry.1))
+    }
+
+    /// Remember `state` under `ticket` as most recently used, evicting the
+    /// least recently used tickets past the capacity.
+    fn insert(&mut self, ticket: u64, state: Arc<WarmState>) {
+        self.remove(ticket);
+        let stamp = self.stamp(ticket);
+        self.by_ticket.insert(ticket, (stamp, state));
+        while self.by_ticket.len() > self.capacity {
+            let Some((_, victim)) = self.by_stamp.pop_first() else {
+                break;
+            };
+            self.by_ticket.remove(&victim);
+        }
+    }
+
+    fn remove(&mut self, ticket: u64) -> bool {
+        match self.by_ticket.remove(&ticket) {
+            Some((stamp, _)) => {
+                self.by_stamp.remove(&stamp);
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.by_ticket.len()
+    }
+}
+
 /// The long-lived serving front end. See the [module docs](self).
 pub struct Service {
     cfg: ServiceConfig,
     cache: Mutex<SolverCache>,
-    memo: Mutex<BTreeMap<u64, Arc<WarmState>>>,
+    memo: Mutex<Memo>,
 }
 
 impl Service {
     /// A fresh service with an empty cache and no known tickets.
     pub fn new(cfg: ServiceConfig) -> Self {
         let cache = SolverCache::new(cfg.cache_capacity);
+        let memo = Memo::new(cfg.memo_capacity);
         Service {
             cfg,
             cache: Mutex::new(cache),
-            memo: Mutex::new(BTreeMap::new()),
+            memo: Mutex::new(memo),
         }
     }
 
@@ -198,14 +292,15 @@ impl Service {
         self.lock_cache().stats()
     }
 
-    /// Number of tickets the service currently remembers.
+    /// Number of tickets the service currently remembers (at most
+    /// [`ServiceConfig::memo_capacity`]).
     pub fn known_tickets(&self) -> usize {
         self.lock_memo().len()
     }
 
     /// Drop one ticket's warm state. Returns whether it existed.
     pub fn forget(&self, ticket: u64) -> bool {
-        self.lock_memo().remove(&ticket).is_some()
+        self.lock_memo().remove(ticket)
     }
 
     fn lock_cache(&self) -> std::sync::MutexGuard<'_, SolverCache> {
@@ -214,7 +309,7 @@ impl Service {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn lock_memo(&self) -> std::sync::MutexGuard<'_, BTreeMap<u64, Arc<WarmState>>> {
+    fn lock_memo(&self) -> std::sync::MutexGuard<'_, Memo> {
         self.memo.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -353,7 +448,7 @@ impl Service {
         base: u64,
         delta: &InstanceDelta,
     ) -> (Result<Served, SolveError>, CacheEvent, ServePath) {
-        let Some(state) = self.lock_memo().get(&base).cloned() else {
+        let Some(state) = self.lock_memo().touch(base) else {
             return (
                 Err(SolveError::WarmStartMismatch { what: "ticket" }),
                 CacheEvent::NotConsulted,
@@ -532,5 +627,88 @@ mod tests {
             delta: InstanceDelta::new(),
         }]);
         assert!(retry[0].outcome.is_err());
+    }
+
+    #[test]
+    fn a_weight_chain_shares_one_topology_and_never_recognizes_again() {
+        use mmb_graph::recognize::recognition_count;
+        let service = Service::new(ServiceConfig::new(4));
+        let cold = service.serve(vec![grid_solve_request(10, 1.0)]);
+        let mut ticket = cold[0].outcome.as_ref().expect("cold serves").ticket;
+        let topology = Arc::clone(
+            service
+                .lock_memo()
+                .touch(ticket)
+                .expect("remembered")
+                .instance
+                .topology(),
+        );
+        // One request per batch runs on this thread, so the thread-local
+        // recognition counter sees every solve.
+        let after_cold = recognition_count();
+        let mut rng = 0x5eed_c4a1u64;
+        for step in 0..50u64 {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let v = ((rng >> 33) % 100) as u32;
+            let mut delta = InstanceDelta::new().set_weight(v, 1.0 + (step % 7) as f64);
+            // Every fifth step also re-prices an edge, as serving churn
+            // does: a new artifact-cache key, still no recognition.
+            if step % 5 == 4 {
+                delta = delta.set_cost(((rng >> 17) % 180) as u32, 1.5);
+            }
+            let out = service.serve(vec![Request::Mutate {
+                base: ticket,
+                delta,
+            }]);
+            ticket = out[0].outcome.as_ref().expect("mutation serves").ticket;
+            let state = service.lock_memo().touch(ticket).expect("remembered");
+            assert!(Arc::ptr_eq(state.instance.topology(), &topology));
+        }
+        assert_eq!(recognition_count(), after_cold);
+    }
+
+    #[test]
+    fn the_memo_evicts_the_least_recently_used_ticket() {
+        let service = Service::new(ServiceConfig {
+            memo_capacity: 2,
+            ..ServiceConfig::new(2)
+        });
+        let ticket = |side| {
+            service.serve(vec![grid_solve_request(side, 1.0)])[0]
+                .outcome
+                .as_ref()
+                .expect("serves")
+                .ticket
+        };
+        let (a, b) = (ticket(3), ticket(4));
+        // A served mutation of `a` refreshes it and adds its result, so
+        // `b` is now the least recently used and goes.
+        let out = service.serve(vec![Request::Mutate {
+            base: a,
+            delta: InstanceDelta::new().set_weight(0, 2.0),
+        }]);
+        let a2 = out[0].outcome.as_ref().expect("a is live").ticket;
+        assert_eq!(service.known_tickets(), 2);
+        let lookup = |t| service.lock_memo().by_ticket.contains_key(&t);
+        assert!(lookup(a) && lookup(a2) && !lookup(b));
+        let rejected = service.serve(vec![Request::Mutate {
+            base: b,
+            delta: InstanceDelta::new(),
+        }]);
+        assert!(matches!(
+            rejected[0].outcome,
+            Err(SolveError::WarmStartMismatch { what: "ticket" })
+        ));
+
+        let none = Service::new(ServiceConfig {
+            memo_capacity: 0,
+            ..ServiceConfig::new(2)
+        });
+        assert!(none.serve(vec![grid_solve_request(3, 1.0)])[0]
+            .outcome
+            .is_ok());
+        assert_eq!(none.known_tickets(), 0);
     }
 }
