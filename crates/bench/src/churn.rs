@@ -4,11 +4,13 @@
 //! The trace models the serving workload the warm path exists for:
 //! repeat-topology traffic. Per base topology, the harness serves a
 //! stream of **cold** requests (full pipeline solves of freshly admitted
-//! instances with perturbed weights — the artifact cache is live, which
-//! *biases the comparison against the warm path*) and a stream of
-//! **warm** requests (seeded `InstanceDelta` weight churn, plus a cost
-//! tweak every few rounds, re-solved from the incumbent coloring via
-//! `Solver::resolve_delta`). Latencies come from the service's own
+//! instances with perturbed weights — the artifact cache is live and
+//! every cold solve after the first reuses the mesh's recognized
+//! structure, which *biases the comparison against the warm path*) and a
+//! stream of **warm** requests (seeded `InstanceDelta` weight churn, plus
+//! a cost tweak every few rounds, re-solved from the incumbent coloring
+//! via `mmb_core::api::resolve_delta`, which builds no solver and never
+//! consults the cache). Latencies come from the service's own
 //! per-request [`ServingRecord`](mmb_service::ServingRecord)s.
 //!
 //! Every response, cold and warm, is re-audited here, outside the
@@ -42,8 +44,8 @@ const FULL_ROUNDS: usize = 40;
 const QUICK_ROUNDS: usize = 6;
 /// Decomposition classes served throughout.
 const CHURN_K: usize = 4;
-/// Every `COST_TWEAK_PERIOD`-th round also re-prices one edge, forcing
-/// an artifact rebuild on the next lookup — weight-only churn must not
+/// Every `COST_TWEAK_PERIOD`-th round also re-prices one edge, so the
+/// warm repair also runs on changed costs — weight-only churn must not
 /// be the only traffic the warm path is ever measured on.
 const COST_TWEAK_PERIOD: usize = 5;
 

@@ -1,32 +1,27 @@
 //! Cacheable solver-construction artifacts and the LRU cache over them.
 //!
-//! [`SolverBuilder::build`](crate::api::SolverBuilder::build) spends its
-//! time on three things that depend only on the instance's **graph,
-//! costs, and the exponent `p`** — never on the weights, `k`, or the run
-//! itself:
-//!
-//! 1. structure recognition (`recognize`, `O((n + m)·d)`),
-//! 2. the splitting-cost measure `π` (Definition 10, one pass over the
-//!    cost-degree profile),
-//! 3. `‖c‖_p` for the Theorem 5 bound in reports.
-//!
-//! [`SolverArtifacts`] keeps all three, next to refcounted handles on the
-//! instance's graph, cost vector and recognized structure (nothing is
+//! Of what [`SolverBuilder::build`](crate::api::SolverBuilder::build)
+//! computes, structure recognition (`recognize`, `O((n + m)·d)`) is the
+//! one part that depends on the **topology alone** — not on the costs,
+//! the weights, `k`, or the run. [`SolverArtifacts`] keeps its verdict
+//! next to a refcounted handle on the graph it was taken over (nothing is
 //! copied: an instance's topology is immutable and shared, see
-//! [`Instance::topology`]). A [`SolverCache`] keyed by
-//! [`Fingerprint::artifact_key`] (structure ⊕ costs — weights excluded,
-//! so weight-only churn stays warm) hands the snapshot back to
-//! `SolverBuilder::artifacts`, which skips the recomputation entirely.
+//! [`Instance::topology`]). A [`SolverCache`] keyed by the structure
+//! digest ([`Fingerprint::structure`](mmb_graph::Fingerprint::structure))
+//! ⊕ `p` hands the snapshot back to `SolverBuilder::artifacts`, which
+//! then skips recognition. Costs never enter the key, so a re-priced edge
+//! still hits; the cost-dependent build products — the splitting-cost
+//! measure `π` (Definition 10) and `‖c‖_p` — are recomputed from the
+//! instance's own costs at every build, one `O(n + m)` pass.
 //!
 //! ## Fingerprints filter, equality decides
 //!
 //! The 64-bit key is a *filter*, not a proof: on every hit the cache
 //! re-checks the candidate against the instance with
 //! [`SolverArtifacts::matches`] — bit-equality of `p`, and either the very
-//! same shared graph and cost vector (`Arc::ptr_eq`, what weight churn
-//! produces) or full structural equality of the edge list and
-//! bit-equality of the costs. A colliding key
-//! is reported as [`CacheLookup::Collision`] and recomputed; a stale or
+//! same shared graph (`Arc::ptr_eq`, what weight and cost churn produce)
+//! or full structural equality of the edge list. A colliding key is
+//! reported as [`CacheLookup::Collision`] and recomputed; a stale or
 //! poisoned entry can be dropped with [`SolverCache::evict_for`]. Served
 //! results therefore never depend on the hash being collision-free.
 //!
@@ -38,85 +33,60 @@
 
 use std::sync::Arc;
 
-use mmb_graph::fingerprint::Fingerprint;
 use mmb_graph::recognize::Structure;
 use mmb_graph::Graph;
 
 use crate::api::instance::Instance;
-use crate::pi::splitting_cost_measure_within;
 
-/// The build-phase products that depend only on (graph, costs, `p`).
+/// The build-phase products that depend only on the topology (and the
+/// exponent `p` the cache is keyed by).
 ///
 /// Create with [`SolverArtifacts::compute`], share via `Arc`, and feed to
 /// [`SolverBuilder::artifacts`](crate::api::SolverBuilder::artifacts) to
-/// warm-start construction on instances with the same topology and
-/// costs (weights may differ freely).
+/// warm-start construction on instances with the same topology (costs
+/// and weights may differ freely).
 #[derive(Clone, Debug)]
 pub struct SolverArtifacts {
     /// The graph the artifacts were computed over (the instance's shared
     /// topology, used for the exact collision check).
     topology: Arc<Graph>,
-    /// The cost vector the artifacts were computed over (shared likewise).
-    costs: Arc<Vec<f64>>,
-    /// The exponent `p` the `π` measure and `‖c‖_p` were computed for.
+    /// The exponent `p` the entry is keyed by.
     p: f64,
     /// Recognition verdict, reusable via `Instance::seed_structure`.
     structure: Arc<Structure>,
-    /// Splitting-cost measure `π` (Definition 10), shared by refcount.
-    pi: Arc<[f64]>,
-    /// `‖c‖_p`.
-    c_norm_p: f64,
-    /// Fingerprint of the source instance (structure + costs parts are
-    /// what [`Fingerprint::artifact_key`] digests).
-    fingerprint: Fingerprint,
+    /// The cache key: structure digest ⊕ `p` bits.
+    key: u64,
 }
 
 impl SolverArtifacts {
-    /// Run the cacheable build phases for `inst` at exponent `p`.
+    /// Run the cacheable build phase for `inst` at exponent `p`.
     ///
-    /// Triggers structure recognition (memoized on `inst`) and the `π`
-    /// pass; the result is independent of `inst`'s weights.
+    /// Triggers structure recognition (memoized on `inst`); the result is
+    /// independent of `inst`'s costs and weights.
     pub fn compute(inst: &Instance, p: f64) -> Self {
-        let g = inst.graph();
-        let pi: Arc<[f64]> =
-            splitting_cost_measure_within(g, inst.costs(), p, 1.0, inst.domain()).into();
         SolverArtifacts {
             topology: Arc::clone(inst.topology()),
-            costs: Arc::clone(inst.shared_costs()),
             p,
             structure: Arc::clone(inst.shared_structure()),
-            pi,
-            c_norm_p: inst.cost_norm(p),
-            fingerprint: inst.fingerprint(),
+            key: mix_key(inst, p),
         }
     }
 
     /// Exact applicability check: does this snapshot describe `inst` at
     /// exponent `p`? `p` bits must agree; then either `inst` holds the very
-    /// graph and cost vector the artifacts were computed over (pointer
-    /// equality, `O(1)`), or the edge lists and cost bits are compared in
-    /// full — so a fingerprint collision can never smuggle in wrong
-    /// artifacts.
+    /// graph the artifacts were computed over (pointer equality, `O(1)`),
+    /// or the edge lists are compared in full — so a fingerprint collision
+    /// can never smuggle in a wrong recognition verdict.
     pub fn matches(&self, inst: &Instance, p: f64) -> bool {
-        if self.p.to_bits() != p.to_bits() {
-            return false;
-        }
-        let shared = inst
-            .shared_topology()
-            .is_some_and(|g| Arc::ptr_eq(g, &self.topology))
-            && Arc::ptr_eq(inst.shared_costs(), &self.costs);
-        shared
-            || (self.topology.num_vertices() == inst.num_vertices()
-                && self.topology.edge_list() == inst.graph().edge_list()
-                && self.costs.len() == inst.costs().len()
-                && self
-                    .costs
-                    .iter()
-                    .zip(inst.costs())
-                    .all(|(a, b)| a.to_bits() == b.to_bits()))
+        self.p.to_bits() == p.to_bits()
+            && (inst
+                .shared_topology()
+                .is_some_and(|g| Arc::ptr_eq(g, &self.topology))
+                || (self.topology.num_vertices() == inst.num_vertices()
+                    && self.topology.edge_list() == inst.graph().edge_list()))
     }
 
-    /// The exponent the artifacts were computed for.
+    /// The exponent the entry is keyed by.
     pub fn p(&self) -> f64 {
         self.p
     }
@@ -131,33 +101,14 @@ impl SolverArtifacts {
     pub(crate) fn shared_structure(&self) -> &Arc<Structure> {
         &self.structure
     }
-
-    /// The cached splitting-cost measure `π`.
-    pub fn pi(&self) -> &Arc<[f64]> {
-        &self.pi
-    }
-
-    /// The cached `‖c‖_p`.
-    pub fn c_norm_p(&self) -> f64 {
-        self.c_norm_p
-    }
-
-    /// Fingerprint of the instance the artifacts came from.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
-    }
-
-    /// The cache key: weight-independent fingerprint parts ⊕ `p` bits.
-    fn key(&self) -> u64 {
-        mix_key(self.fingerprint, self.p)
-    }
 }
 
-/// Splitmix of the weight-independent fingerprint parts with `p`'s bit
-/// pattern — the 64-bit cache key.
-fn mix_key(fp: Fingerprint, p: f64) -> u64 {
-    let mut z = fp
-        .artifact_key()
+/// Splitmix of the instance's structure digest with `p`'s bit pattern —
+/// the 64-bit cache key.
+fn mix_key(inst: &Instance, p: f64) -> u64 {
+    let mut z = inst
+        .fingerprint()
+        .structure
         .wrapping_add(0x9e37_79b9_7f4a_7c15 ^ p.to_bits());
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -219,7 +170,7 @@ impl SolverCache {
         inst: &Instance,
         p: f64,
     ) -> (Arc<SolverArtifacts>, CacheLookup) {
-        let key = mix_key(inst.fingerprint(), p);
+        let key = mix_key(inst, p);
         if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
             if self.entries[pos].1.matches(inst, p) {
                 self.stats.hits += 1;
@@ -246,8 +197,7 @@ impl SolverCache {
         if self.capacity == 0 {
             return;
         }
-        let key = artifacts.key();
-        self.entries.insert(0, (key, artifacts));
+        self.entries.insert(0, (artifacts.key, artifacts));
         while self.entries.len() > self.capacity {
             self.entries.pop();
             self.stats.evictions += 1;
@@ -368,9 +318,9 @@ mod tests {
     fn artifacts_agree_with_a_fresh_build() {
         let a = grid_instance(4, 1.0);
         let art = SolverArtifacts::compute(&a, 2.0);
-        assert_eq!(art.c_norm_p(), a.cost_norm(2.0));
-        assert_eq!(art.pi().len(), a.num_vertices());
-        assert_eq!(art.fingerprint(), a.fingerprint());
+        assert!(Arc::ptr_eq(&art.topology, a.topology()));
+        assert!(Arc::ptr_eq(art.shared_structure(), a.shared_structure()));
+        assert!(matches!(art.structure(), Structure::Grid(_)));
         assert_eq!(art.p(), 2.0);
     }
 
@@ -385,8 +335,7 @@ mod tests {
         let a = bare_grid_instance(4, 1.0);
         let art = SolverArtifacts::compute(&a, 2.0);
         assert!(Arc::ptr_eq(&art.topology, a.topology()));
-        assert!(Arc::ptr_eq(&art.costs, a.shared_costs()));
-        // A weight delta shares both handles: the O(1) path.
+        // A weight delta shares the topology handle: the O(1) path.
         let warm = crate::api::InstanceDelta::new()
             .set_weight(3, 9.0)
             .apply(&a)
@@ -398,20 +347,21 @@ mod tests {
         let twin = bare_grid_instance(4, 1.0);
         assert!(!Arc::ptr_eq(twin.topology(), a.topology()));
         assert!(art.matches(&twin, 2.0));
-        // Same topology pointer, one re-priced edge: refused.
+        // Same topology pointer, one re-priced edge: costs are not part
+        // of the artifacts, so it still matches.
         let repriced = crate::api::InstanceDelta::new()
             .set_cost(0, 1.0 + 1e-12)
             .apply(&a)
             .expect("applies")
             .instance;
         assert!(Arc::ptr_eq(repriced.topology(), a.topology()));
-        assert!(!art.matches(&repriced, 2.0));
+        assert!(art.matches(&repriced, 2.0));
         // Equal costs, different graph: refused.
         assert!(!art.matches(&bare_grid_instance(5, 1.0), 2.0));
-        // -0.0 and 0.0 differ in their bits.
+        // Costs of any bit pattern match, by pointer or by comparison.
         let zero = bare_grid_instance(3, 0.0);
         let art0 = SolverArtifacts::compute(&zero, 2.0);
-        assert!(!art0.matches(&bare_grid_instance(3, -0.0), 2.0));
+        assert!(art0.matches(&bare_grid_instance(3, -0.0), 2.0));
     }
 
     #[test]
@@ -426,5 +376,39 @@ mod tests {
             .expect("builds");
         assert!(Arc::ptr_eq(b.shared_structure(), art.shared_structure()));
         assert_eq!(b.family(), "grid");
+    }
+
+    #[test]
+    fn a_repriced_twin_hits_and_builds_its_own_pi() {
+        let mut cache = SolverCache::new(4);
+        let a = bare_grid_instance(6, 1.0);
+        let (art, first) = cache.get_or_compute(&a, 2.0);
+        assert_eq!(first, CacheLookup::Miss);
+        // Built separately, every edge re-priced: a different cost
+        // digest on an equal topology.
+        let g = GridGraph::lattice(&[6, 6]).graph;
+        let costs: Vec<f64> = (0..g.num_edges()).map(|e| 1.0 + (e % 7) as f64).collect();
+        let n = g.num_vertices();
+        let fresh = Instance::new(g.clone(), costs.clone(), vec![1.0; n]).expect("valid");
+        let twin = Instance::new(g, costs, vec![1.0; n]).expect("valid");
+        assert_ne!(twin.fingerprint().costs, a.fingerprint().costs);
+        let (hit, second) = cache.get_or_compute(&twin, 2.0);
+        assert_eq!(second, CacheLookup::Hit);
+        assert!(Arc::ptr_eq(&hit, &art));
+        let warm = crate::api::Solver::for_instance(&twin)
+            .classes(3)
+            .artifacts(hit)
+            .build()
+            .expect("builds");
+        assert!(Arc::ptr_eq(twin.shared_structure(), art.shared_structure()));
+        let cold = crate::api::Solver::for_instance(&fresh)
+            .classes(3)
+            .build()
+            .expect("builds");
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(warm.pi()), bits(cold.pi()));
+        let (w, c) = (warm.solve(), cold.solve());
+        assert_eq!(w.coloring, c.coloring);
+        assert_eq!(w.bound_ratio.to_bits(), c.bound_ratio.to_bits());
     }
 }

@@ -25,10 +25,9 @@
 //! edge list.
 //!
 //! `apply` also reports the **touched region**: every vertex whose
-//! incident data changed. `Solver::resolve_delta` repairs exactly this
-//! region (KL moves on the touched frontier, then a strict re-pack only
-//! if eq. (1) broke) instead of solving from scratch — see
-//! [`crate::api::Solver::resolve_delta`].
+//! incident data changed. [`resolve_delta`](crate::api::resolve_delta)
+//! repairs exactly this region (KL moves on the touched frontier, then a
+//! strict re-pack only if eq. (1) broke) instead of solving from scratch.
 //!
 //! ## Edge-id canonicalization
 //!
@@ -48,9 +47,8 @@ use crate::api::instance::Instance;
 ///
 /// Build one with the chainable constructors, then run
 /// [`InstanceDelta::apply`] (or hand it to
-/// [`Solver::resolve_delta`](crate::api::Solver::resolve_delta) for the
-/// warm re-solve). Empty deltas are valid and produce an identical
-/// instance.
+/// [`resolve_delta`](crate::api::resolve_delta) for the warm re-solve).
+/// Empty deltas are valid and produce an identical instance.
 #[derive(Clone, Debug, Default)]
 pub struct InstanceDelta {
     /// Weights of appended vertices; the `i`-th gets id `n + i`.
@@ -529,23 +527,18 @@ mod tests {
                 b.shared_structure()
             ));
         }
-        // Costs are shared unless re-priced.
-        assert!(Arc::ptr_eq(
-            weight.instance.shared_costs(),
-            b.shared_costs()
-        ));
-        assert!(!Arc::ptr_eq(cost.instance.shared_costs(), b.shared_costs()));
-        assert!(!Arc::ptr_eq(both.instance.shared_costs(), b.shared_costs()));
+        // Costs are shared unless re-priced: one buffer, same address.
+        let same_costs = |x: &Instance, y: &Instance| std::ptr::eq(x.costs(), y.costs());
+        assert!(same_costs(&weight.instance, &b));
+        assert!(!same_costs(&cost.instance, &b));
+        assert!(!same_costs(&both.instance, &b));
         // Sharing is transitive down a chain.
         let chained = InstanceDelta::new()
             .set_weight(3, 1.5)
             .apply(&cost.instance)
             .unwrap();
         assert!(Arc::ptr_eq(chained.instance.topology(), b.topology()));
-        assert!(Arc::ptr_eq(
-            chained.instance.shared_costs(),
-            cost.instance.shared_costs()
-        ));
+        assert!(same_costs(&chained.instance, &cost.instance));
     }
 
     #[test]

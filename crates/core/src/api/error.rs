@@ -164,11 +164,14 @@ pub enum SolveError {
         /// The rendered panic payload.
         message: String,
     },
-    /// A warm-start input does not fit this solver: `resolve_delta` was
-    /// given a previous coloring whose class count or vertex count does
-    /// not match the solver's instance.
+    /// A warm start has no usable incumbent: `resolve_delta` was given a
+    /// previous coloring whose class count or vertex count does not fit
+    /// the request, or a serving layer holds no incumbent under the
+    /// requested ticket (never issued, forgotten, or evicted).
     WarmStartMismatch {
-        /// which dimension disagreed (`"k"`, `"n"`).
+        /// what did not match: `"k"` or `"n"` (the previous coloring's
+        /// class or vertex count), or `"ticket"` (no remembered
+        /// incumbent).
         what: &'static str,
     },
 }
@@ -187,7 +190,7 @@ impl_error_display!(SolveError {
     SolveError::Panicked { context, message } =>
         "panic caught at the `{context}` isolation boundary: {message}",
     SolveError::WarmStartMismatch { what } =>
-        "warm-start coloring does not match the solver's instance (mismatched {what})",
+        "no usable warm-start incumbent (mismatched {what})",
 });
 
 impl From<InstanceError> for SolveError {
@@ -261,6 +264,16 @@ mod tests {
             "splitter family `tree` unavailable on a `arbitrary` instance"
         );
         assert_eq!(SolveError::ZeroColors.to_string(), "k must be at least 1");
+        let e = SolveError::WarmStartMismatch { what: "ticket" };
+        assert_eq!(
+            e.to_string(),
+            "no usable warm-start incumbent (mismatched ticket)"
+        );
+        let e = SolveError::WarmStartMismatch { what: "k" };
+        assert_eq!(
+            e.to_string(),
+            "no usable warm-start incumbent (mismatched k)"
+        );
     }
 
     #[test]

@@ -310,11 +310,6 @@ impl Instance {
         &self.costs
     }
 
-    /// The cost vector as a shared handle (see [`Instance::topology`]).
-    pub(crate) fn shared_costs(&self) -> &Arc<Vec<f64>> {
-        &self.costs
-    }
-
     /// Vertex weights `w`, indexed by vertex id.
     #[inline]
     pub fn weights(&self) -> &[f64] {

@@ -44,5 +44,6 @@ pub use instance::Instance;
 pub use partitioner::{Partitioner, Theorem4Pipeline};
 pub use report::{ClassRow, Report, StageReport};
 pub use solver::{
-    auto_splitter, solve_many, solve_many_raw, DeltaSolve, Solver, SolverBuilder, SplitterChoice,
+    auto_splitter, resolve_delta, solve_many, solve_many_raw, DeltaSolve, Solver, SolverBuilder,
+    SplitterChoice,
 };

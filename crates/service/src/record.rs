@@ -10,7 +10,8 @@
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheEvent {
     /// Key matched and the exact collision check confirmed: the cached
-    /// build artifacts were reused.
+    /// topology artifacts (the recognized structure) were reused by a
+    /// cold solve.
     Hit,
     /// Cold lookup; artifacts computed and inserted.
     Miss,
@@ -21,7 +22,11 @@ pub enum CacheEvent {
     /// evicted and the request rebuilt cold. A poisoned entry is never
     /// served.
     Poisoned,
-    /// The request failed before (or without) consulting the cache.
+    /// The request did not consult the cache: every [`Request::Mutate`]
+    /// (the warm repair builds no solver), and requests rejected before
+    /// their cold solve looked anything up.
+    ///
+    /// [`Request::Mutate`]: crate::Request::Mutate
     NotConsulted,
 }
 
@@ -32,8 +37,8 @@ pub enum ServePath {
     /// path (`verify::gate`); when the pipeline's coloring loses to the
     /// LPT floor, the floor is what serves.
     Cold,
-    /// Incumbent repair via `Solver::resolve_delta` survived the
-    /// serving gate.
+    /// Incumbent repair via `mmb_core::api::resolve_delta` survived the
+    /// serving gate; no solver was built and the cache was not consulted.
     Warm,
     /// The warm repair was rejected by the gate; the mutated instance
     /// was re-solved from scratch.

@@ -8,11 +8,17 @@
 //!   worse than a from-scratch solve of the mutated instance (up to fp
 //!   tolerance).
 //! - A solver built from cached artifacts (cache hit) produces a coloring
-//!   bit-identical to one built cold (cache miss) — reusing recognition,
-//!   `π`, and `‖c‖_p` must not perturb a single decision downstream.
+//!   bit-identical to one built cold (cache miss) — reusing a recognition
+//!   verdict, even one taken on another cost profile's instance of the
+//!   same topology, must not perturb a single decision downstream.
+//! - The warm entry point `api::resolve_delta` and the solver method
+//!   report the same typed errors in the same precedence.
 
-use mmb_core::api::CacheLookup;
+use std::collections::BTreeSet;
+
+use mmb_core::api::{self, CacheLookup, InstanceError};
 use mmb_core::prelude::*;
+use mmb_graph::Coloring;
 use mmb_instances::corpus::Corpus;
 
 /// splitmix64 — seeded churn, replayable.
@@ -114,6 +120,8 @@ fn resolve_delta_matches_fresh_solves_across_the_corpus() {
 fn cache_hit_solves_are_bit_identical_to_cache_miss_solves() {
     let corpus = Corpus::quick();
     let mut cache = SolverCache::new(corpus.len());
+    let mut keys = BTreeSet::new();
+    let mut cross_profile_hits = 0usize;
     for e in &corpus {
         let inst = &e.instance;
         let cfg = entry_config(e.p);
@@ -126,14 +134,18 @@ fn cache_hit_solves_are_bit_identical_to_cache_miss_solves() {
             .unwrap_or_else(|err| panic!("{}: cold build failed: {err}", e.name))
             .solve();
 
-        // Prime the cache, then build warm off the hit.
+        // The first lookup misses only on a topology (and `p`) not seen
+        // yet: the second cost profile of a family hits the first's
+        // entry. The second lookup always hits.
+        let new_key = keys.insert((inst.fingerprint().structure, cfg.p.to_bits()));
         let (_, first) = cache.get_or_compute(inst, cfg.p);
-        assert_eq!(
-            first,
-            CacheLookup::Miss,
-            "{}: expected a cold lookup",
-            e.name
-        );
+        let expected = if new_key {
+            CacheLookup::Miss
+        } else {
+            CacheLookup::Hit
+        };
+        assert_eq!(first, expected, "{}: first lookup", e.name);
+        cross_profile_hits += usize::from(!new_key);
         let (artifacts, second) = cache.get_or_compute(inst, cfg.p);
         assert_eq!(
             second,
@@ -162,8 +174,93 @@ fn cache_hit_solves_are_bit_identical_to_cache_miss_solves() {
             e.name
         );
     }
+    assert!(
+        cross_profile_hits > 0,
+        "no entry shared a topology with an earlier one: the cross-profile hit is untested"
+    );
     let stats = cache.stats();
-    assert_eq!(stats.hits as usize, corpus.len());
-    assert_eq!(stats.misses as usize, corpus.len());
+    assert_eq!(stats.misses as usize, keys.len());
+    assert_eq!(stats.hits as usize, 2 * corpus.len() - keys.len());
     assert_eq!(stats.collisions, 0);
+}
+
+/// Run one warm re-solve through both entry points — the free
+/// `api::resolve_delta` and a built solver's method — and require the
+/// same typed error from each (`Debug` text, so a NaN exponent compares).
+fn warm_error(
+    inst: &Instance,
+    k: usize,
+    p: f64,
+    delta: &InstanceDelta,
+    previous: &Coloring,
+) -> SolveError {
+    let cfg = PipelineConfig {
+        p,
+        ..PipelineConfig::default()
+    };
+    let free = api::resolve_delta(inst, k, &cfg, delta, previous);
+    let method = Solver::for_instance(inst)
+        .classes(k)
+        .config(cfg.clone())
+        .build()
+        .and_then(|solver| solver.resolve_delta(delta, previous));
+    let (Err(a), Err(b)) = (free, method) else {
+        panic!("k = {k}, p = {p}: expected both entry points to fail");
+    };
+    assert_eq!(format!("{a:?}"), format!("{b:?}"), "k = {k}, p = {p}");
+    a
+}
+
+#[test]
+fn warm_start_errors_are_typed_and_ordered_alike_on_both_entry_points() {
+    let corpus = Corpus::quick();
+    let inst = &corpus.entries()[0].instance;
+    let n = inst.num_vertices();
+    let good = Coloring::new_uncolored(n, 2);
+    let wrong_k = Coloring::new_uncolored(n, 3);
+    let wrong_n = Coloring::new_uncolored(n - 1, 2);
+    let ok_delta = InstanceDelta::new().set_weight(0, 2.0);
+    let bad_delta = InstanceDelta::new().set_weight(n as u32, 1.0);
+    let out_of_range = SolveError::Instance(InstanceError::VertexOutOfRange { got: n as u32, n });
+
+    // Each failure alone.
+    assert_eq!(
+        warm_error(inst, 0, 2.0, &ok_delta, &good),
+        SolveError::ZeroColors
+    );
+    for p in [f64::NAN, 0.5] {
+        let err = warm_error(inst, 2, p, &ok_delta, &good);
+        assert!(
+            matches!(err, SolveError::InvalidExponent { p: got } if got.to_bits() == p.to_bits()),
+            "p = {p}: {err:?}"
+        );
+    }
+    assert_eq!(
+        warm_error(inst, 2, 2.0, &ok_delta, &wrong_k),
+        SolveError::WarmStartMismatch { what: "k" }
+    );
+    assert_eq!(
+        warm_error(inst, 2, 2.0, &ok_delta, &wrong_n),
+        SolveError::WarmStartMismatch { what: "n" }
+    );
+    assert_eq!(warm_error(inst, 2, 2.0, &bad_delta, &good), out_of_range);
+
+    // Precedence: ZeroColors, InvalidExponent, k, n, then the delta.
+    let k_and_n = Coloring::new_uncolored(n - 1, 3);
+    assert_eq!(
+        warm_error(inst, 0, f64::NAN, &bad_delta, &k_and_n),
+        SolveError::ZeroColors
+    );
+    assert!(matches!(
+        warm_error(inst, 2, 0.5, &bad_delta, &k_and_n),
+        SolveError::InvalidExponent { .. }
+    ));
+    assert_eq!(
+        warm_error(inst, 2, 2.0, &bad_delta, &k_and_n),
+        SolveError::WarmStartMismatch { what: "k" }
+    );
+    assert_eq!(
+        warm_error(inst, 2, 2.0, &bad_delta, &wrong_n),
+        SolveError::WarmStartMismatch { what: "n" }
+    );
 }
